@@ -134,20 +134,3 @@ class AveState:
         p, q, r = self._dims
         return _report(self._mean.copy(), p, q, r, self._count)
 
-
-# operation-style aliases
-
-def nue_ingest(state: NueState, stats: BatchStats) -> NueState:
-    return state.ingest(stats)
-
-
-def nue_estimate(state: NueState) -> EstimateReport:
-    return state.estimate()
-
-
-def ave_ingest(state: AveState, stats: BatchStats) -> AveState:
-    return state.ingest(stats)
-
-
-def ave_estimate(state: AveState) -> EstimateReport:
-    return state.estimate()

@@ -73,6 +73,12 @@ class StreamSchema:
         return StreamSchema(self.p, self.q, r)
 
 
+def _grid(blocks: list[list[np.ndarray]]) -> np.ndarray:
+    """np.block for a grid of 2-d blocks; np.block's general shape checks
+    cost several times the copy at these sizes."""
+    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
+
+
 @dataclass(frozen=True)
 class BatchStats:
     """Exact cross products of one batch. Immutable after construction."""
@@ -129,7 +135,7 @@ class BatchStats:
         """Stacked (p+q) Gram block [[xtx, xtz], [ztx, ztz]]."""
         if self.ztz is None:
             return self.xtx
-        return np.block([[self.xtx, self.xtz], [self.xtz.T, self.ztz]])
+        return _grid([[self.xtx, self.xtz], [self.xtz.T, self.ztz]])
 
     def xz_moment(self) -> np.ndarray:
         """Stacked (p+q) response moment (xty, zty)."""
@@ -141,7 +147,7 @@ class BatchStats:
         """Stacked (p+q+r) Gram block over every observed group."""
         if self.wtw is None:
             return self.xz_gram()
-        return np.block(
+        return _grid(
             [
                 [self.xtx, self.xtz, self.xtw],
                 [self.xtz.T, self.ztz, self.ztw],

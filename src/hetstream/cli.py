@@ -9,8 +9,8 @@ ingest          feed one batch CSV into a persistent stream state
 estimate        print the current coefficient estimates
 test            print the added-covariate F test
 
-Exit codes: 0 ok, 2 configuration error, 3 runtime error, 4 phase/protocol
-violation. HETSTREAM_THREADS caps experiment worker parallelism.
+Exit codes: 0 ok, 2 configuration error, 3 runtime error (unreadable state
+snapshots included), 4 phase/protocol violation.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def cmd_ingest(args) -> int:
         for i in range(state.homog.b_hat.shape[0]):
             _print_vector(f"b_hat_row{i + 1}", state.homog.b_hat[i])
     elif args.event == "add-w":
-        state.begin_second_update(stats)
+        state.begin_second_update(stats, **overrides)
         print("event = add-w")
     elif state.phase is Phase.PRE:
         state.ingest_pre_change(stats)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,8 +158,9 @@ class HomogenizationMap:
     """Estimated projections of missing covariate groups onto observed ones.
 
     b_hat maps z onto x, c_hat maps w onto x, d_hat maps w onto (x, z).
-    Each is estimated once, on the first batch of the phase that revealed the
-    group, and never refined.
+    The state records each as estimated on the first batch of the phase that
+    revealed the group; with refinement on, current_maps() refits them on
+    every batch that observed the group.
     """
 
     b_hat: np.ndarray
@@ -200,6 +202,64 @@ class EstimateReport:
 
 def _gram_weight(w: float, convention: str) -> float:
     return w * w if convention == GRAM_SQUARED else w
+
+
+def _by_group(maps: HomogenizationMap) -> list[list[np.ndarray | None]]:
+    """Maps as fits[g - 1][s]: covariate group g projected onto the columns
+    that segment s observes."""
+    return [[maps.b_hat], [maps.c_hat, maps.d_hat]]
+
+
+def _fit_maps(gram: np.ndarray, widths, group: slice) -> list[np.ndarray]:
+    """Least-squares projections of the columns ``group`` of a Gram matrix
+    onto its leading ``width`` columns, one per width."""
+    return [linalg.solve_spd(gram[:w, :w], gram[:w, group]) for w in widths]
+
+
+def _initial_choices(stats: BatchStats, **overrides) -> tuple[dict, str]:
+    """Initial choices of a weight spec, each taken from its override when
+    given, else from one fit of y on every group the event batch observes:
+    the residual variance (sigma0_sq), each added group's coefficients
+    (theta0, gamma0) and second moment (e0_zz, e0_ww)."""
+    if all(v is not None for v in overrides.values()):
+        overrides["sigma0_sq"] = float(overrides["sigma0_sq"])
+        return overrides, NON_RANDOM
+    p, q = stats.p, stats.q
+    dim = p + q + stats.r
+    if stats.n <= dim:
+        raise SingularMatrix(
+            f"estimating the initial weight choices needs at least {dim + 1} "
+            f"observations in the event batch (got n={stats.n}); "
+            f"supply non-random overrides to lift the requirement"
+        )
+    moment = stats.full_moment()
+    try:
+        eta = linalg.solve_spd(stats.full_gram(), moment)
+    except SingularMatrix as exc:
+        raise SingularMatrix(
+            "the event batch design is rank deficient; cannot estimate the "
+            "initial weight choices"
+        ) from exc
+    sigma_sq = (stats.yty - float(moment @ eta)) / (stats.n - dim)
+    if sigma_sq <= _VARIANCE_FLOOR_RTOL * max(stats.yty / stats.n, 1.0):
+        warnings.warn(
+            "event-batch residual variance is ~0 (noiseless data?); "
+            "falling back to unit weights",
+            stacklevel=3,
+        )
+        sigma_sq, eta = 1.0, np.zeros_like(eta)
+    estimated = dict(
+        sigma0_sq=float(sigma_sq),
+        theta0=eta[p : p + q],
+        e0_zz=stats.ztz / stats.n,
+        gamma0=eta[p + q :],
+        e0_ww=None if stats.wtw is None else stats.wtw / stats.n,
+    )
+    choices = {
+        name: estimated[name] if value is None else value for name, value in overrides.items()
+    }
+    choices["sigma0_sq"] = float(choices["sigma0_sq"])
+    return choices, ESTIMATED
 
 
 class AccumulatorState:
@@ -263,10 +323,6 @@ class AccumulatorState:
     def m_post(self) -> int:
         return sum(seg.n for seg in self._segments[1:])
 
-    @property
-    def sse(self) -> float:
-        return self._sse
-
     # Weighted cumulative matrices, assembled from the per-segment raw sums.
     # Rescaling frozen segments at a phase transition is implicit: weights
     # are applied here, at read time, which is algebraically identical.
@@ -281,11 +337,6 @@ class AccumulatorState:
         return sum(gi * seg.xtx for gi, seg in zip(g, self._segments))
 
     @property
-    def v_xy(self) -> np.ndarray:
-        g = self.gram_weights()
-        return sum(gi * seg.xty for gi, seg in zip(g, self._segments))
-
-    @property
     def v_xz(self) -> np.ndarray | None:
         if self.phase is Phase.PRE:
             return None
@@ -298,13 +349,6 @@ class AccumulatorState:
             return None
         g = self.gram_weights()
         return sum(gi * seg.ztz for gi, seg in zip(g[1:], self._segments[1:]))
-
-    @property
-    def v_zy(self) -> np.ndarray | None:
-        if self.phase is Phase.PRE:
-            return None
-        g = self.gram_weights()
-        return sum(gi * seg.zty for gi, seg in zip(g[1:], self._segments[1:]))
 
     @property
     def wyy(self) -> float:
@@ -372,7 +416,7 @@ class AccumulatorState:
             self._b_forced = True
         else:
             try:
-                b = linalg.solve_spd(first_post_stats.xtx, first_post_stats.xtz)
+                (b,) = _fit_maps(first_post_stats.full_gram(), (p,), slice(p, p + q))
             except SingularMatrix as exc:
                 raise SingularMatrix(
                     f"first post-change batch cannot identify the projection of z on x; "
@@ -381,23 +425,10 @@ class AccumulatorState:
                 ) from exc
         case = CASE_UNCORRELATED if not np.any(b) else CASE_CORRELATED
 
-        overrides = (sigma0_sq, theta0, e0_zz)
-        if all(v is not None for v in overrides):
-            spec = WeightSpec(
-                float(sigma0_sq), theta0, e0_zz,
-                convention=self.convention, provenance=NON_RANDOM,
-            )
-        else:
-            est_s, est_t, est_e = self._estimate_initial_choices(first_post_stats)
-            spec = WeightSpec(
-                float(sigma0_sq) if sigma0_sq is not None else est_s,
-                theta0 if theta0 is not None else est_t,
-                e0_zz if e0_zz is not None else est_e,
-                convention=self.convention,
-                provenance=ESTIMATED,
-            )
-
-        self.weights = spec
+        choices, provenance = _initial_choices(
+            first_post_stats, sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz
+        )
+        self.weights = WeightSpec(**choices, convention=self.convention, provenance=provenance)
         self.homog = HomogenizationMap(b, estimated_on=self.batch_count + 1)
         self.case_label = case
         self.k_index = self.batch_count
@@ -405,38 +436,6 @@ class AccumulatorState:
         self._segments.append(BatchStats.zeros(p, q))
         self._sse_rebase()
         return self.ingest_post_change(first_post_stats)
-
-    def _estimate_initial_choices(self, stats: BatchStats):
-        """Per-batch fit of y on every observed group: the empirical initial
-        choices of the error variance, new coefficients and second moment."""
-        dim = stats.p + stats.q + stats.r
-        if stats.n <= dim:
-            raise SingularMatrix(
-                f"estimating the initial weight choices needs at least {dim + 1} "
-                f"observations in the event batch (got n={stats.n}); "
-                f"supply non-random overrides to lift the requirement"
-            )
-        gram = stats.full_gram()
-        moment = stats.full_moment()
-        try:
-            eta = linalg.solve_spd(gram, moment)
-        except SingularMatrix as exc:
-            raise SingularMatrix(
-                "the event batch design is rank deficient; cannot estimate the "
-                "initial weight choices"
-            ) from exc
-        rss = stats.yty - float(moment @ eta)
-        sigma_sq = rss / (stats.n - dim)
-        floor = _VARIANCE_FLOOR_RTOL * max(stats.yty / stats.n, 1.0)
-        if sigma_sq <= floor:
-            warnings.warn(
-                "event-batch residual variance is ~0 (noiseless data?); "
-                "falling back to unit weights",
-                stacklevel=3,
-            )
-            return 1.0, np.zeros(stats.q), stats.ztz / stats.n
-        theta0 = eta[stats.p : stats.p + stats.q]
-        return float(sigma_sq), theta0, stats.ztz / stats.n
 
     def ingest_post_change(self, stats: BatchStats) -> "AccumulatorState":
         """Weighted accumulation of a batch carrying the current phase's groups."""
@@ -496,10 +495,8 @@ class AccumulatorState:
             self._cd_forced = True
         else:
             try:
-                c = linalg.solve_spd(first_post_stats.xtx, first_post_stats.xtw)
-                d = linalg.solve_spd(
-                    first_post_stats.xz_gram(),
-                    np.vstack([first_post_stats.xtw, first_post_stats.ztw]),
+                c, d = _fit_maps(
+                    first_post_stats.full_gram(), (p, p + q), slice(p + q, p + q + r)
                 )
             except SingularMatrix as exc:
                 raise SingularMatrix(
@@ -508,15 +505,11 @@ class AccumulatorState:
                     f"(got n={first_post_stats.n})"
                 ) from exc
 
-        overrides = (sigma0_sq, gamma0, theta0, e0_ww, e0_zz)
-        if all(v is not None for v in overrides):
-            spec = SecondWeightSpec(
-                float(sigma0_sq), gamma0, theta0, e0_ww, e0_zz, provenance=NON_RANDOM
-            )
-        else:
-            spec = self._estimate_second_choices(first_post_stats, sigma0_sq, gamma0, theta0, e0_ww, e0_zz)
-
-        self.weights2 = spec
+        choices, provenance = _initial_choices(
+            first_post_stats, sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0,
+            e0_ww=e0_ww, e0_zz=e0_zz,
+        )
+        self.weights2 = SecondWeightSpec(**choices, provenance=provenance)
         self.homog = HomogenizationMap(
             self.homog.b_hat, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on
         )
@@ -526,41 +519,22 @@ class AccumulatorState:
         self._sse_rebase()
         return self.ingest_post_change(first_post_stats)
 
-    def _estimate_second_choices(self, stats, sigma0_sq, gamma0, theta0, e0_ww, e0_zz):
-        p, q, r = stats.p, stats.q, stats.r
-        dim = p + q + r
-        if stats.n <= dim:
-            raise SingularMatrix(
-                f"estimating the second-event initial choices needs at least "
-                f"{dim + 1} observations (got n={stats.n}); supply overrides"
-            )
-        try:
-            eta = linalg.solve_spd(stats.full_gram(), stats.full_moment())
-        except SingularMatrix as exc:
-            raise SingularMatrix(
-                "the second event batch design is rank deficient"
-            ) from exc
-        rss = stats.yty - float(stats.full_moment() @ eta)
-        est_sigma = rss / (stats.n - dim)
-        floor = _VARIANCE_FLOOR_RTOL * max(stats.yty / stats.n, 1.0)
-        degenerate = est_sigma <= floor
-        if degenerate:
-            warnings.warn(
-                "second-event residual variance is ~0; falling back to unit weights",
-                stacklevel=3,
-            )
-        return SecondWeightSpec(
-            sigma0_sq=float(sigma0_sq) if sigma0_sq is not None else (1.0 if degenerate else float(est_sigma)),
-            gamma0=gamma0 if gamma0 is not None else (np.zeros(r) if degenerate else eta[p + q :]),
-            theta0=theta0 if theta0 is not None else (np.zeros(q) if degenerate else eta[p : p + q]),
-            e0_ww=e0_ww if e0_ww is not None else stats.wtw / stats.n,
-            e0_zz=e0_zz if e0_zz is not None else stats.ztz / stats.n,
-            provenance=ESTIMATED,
-        )
-
     # ------------------------------------------------------------------
     # system assembly
     # ------------------------------------------------------------------
+
+    def _bounds(self) -> list[int]:
+        """Column offsets of the covariate groups: segment s reveals group s,
+        which spans columns bounds[s]:bounds[s + 1] of the homogenized vector
+        and makes bounds[s + 1] observed columns."""
+        sch = self.schema
+        return list(accumulate((0, sch.p, sch.q, sch.r)[: len(self._segments) + 1]))
+
+    def _pooled_gram(self, first: int) -> np.ndarray:
+        """Unweighted Gram matrix of the columns segment ``first`` observes,
+        pooled over that segment and every later one."""
+        width = self._bounds()[first + 1]
+        return sum(seg.full_gram()[:width, :width] for seg in self._segments[first:])
 
     def current_maps(self) -> HomogenizationMap:
         """Projection maps in effect for estimation.
@@ -573,107 +547,66 @@ class AccumulatorState:
         """
         if self.homog is None:
             raise PhaseMismatch("no covariate-addition event has happened yet")
-        if not self.refine_maps or self.phase is Phase.PRE:
+        if not self.refine_maps:
             return self.homog
-        b = self.homog.b_hat
-        c, d = self.homog.c_hat, self.homog.d_hat
-        if not self._b_forced:
-            sxx = sum(seg.xtx for seg in self._segments[1:])
-            sxz = sum(seg.xtz for seg in self._segments[1:])
+        bounds = self._bounds()
+        fits = _by_group(self.homog)
+        forced = (self._b_forced, self._cd_forced)
+        for g in range(1, len(self._segments)):
+            if forced[g - 1]:
+                continue
             try:
-                b = linalg.solve_spd(sxx, sxz)
+                fits[g - 1] = _fit_maps(
+                    self._pooled_gram(g), bounds[1 : g + 1], slice(bounds[g], bounds[g + 1])
+                )
             except SingularMatrix:
                 pass
-        if self.phase is Phase.TWO and not self._cd_forced:
-            s2 = self._segments[2]
-            try:
-                c = linalg.solve_spd(s2.xtx, s2.xtw)
-                d = linalg.solve_spd(s2.xz_gram(), np.vstack([s2.xtw, s2.ztw]))
-            except SingularMatrix:
-                pass
+        (b,), (c, d) = fits
         return HomogenizationMap(b, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on)
 
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
         """Bordered normal-equation system of the current phase.
 
-        One estimating-equation row block per covariate group, summed over the
-        phases where the group is observed, with each phase's homogenized
-        prediction standing in for the unobserved groups.
+        Segment s contributes the estimating equations of the groups it
+        observes, with its homogenized prediction standing in for the groups
+        it does not: A[:d_s] += g_s G_s E_s and b[:d_s] += g_s m_s.
         """
-        p, q, r = self.schema.p, self.schema.q, self.schema.r
-        if self.phase is Phase.PRE:
-            s0 = self._segments[0]
-            return s0.xtx.copy(), s0.xty.copy()
-        if self.phase is Phase.ONE:
-            g0, g1 = self.gram_weights()
-            s0, s1 = self._segments
-            b = self.current_maps().b_hat
-            top = np.hstack([g0 * s0.xtx + g1 * s1.xtx, g0 * (s0.xtx @ b) + g1 * s1.xtz])
-            bottom = np.hstack([g1 * s1.xtz.T, g1 * s1.ztz])
-            rhs = np.concatenate([g0 * s0.xty + g1 * s1.xty, g1 * s1.zty])
-            return np.vstack([top, bottom]), rhs
-        g0, g1, g2 = self.gram_weights()
-        s0, s1, s2 = self._segments
-        maps = self.current_maps()
-        b, c, d = maps.b_hat, maps.c_hat, maps.d_hat
-        dx, dz = d[:p], d[p:]
-        a_xx = g0 * s0.xtx + g1 * s1.xtx + g2 * s2.xtx
-        a_xz = g0 * (s0.xtx @ b) + g1 * s1.xtz + g2 * s2.xtz
-        a_xw = g0 * (s0.xtx @ c) + g1 * (s1.xtx @ dx + s1.xtz @ dz) + g2 * s2.xtw
-        a_zx = g1 * s1.xtz.T + g2 * s2.xtz.T
-        a_zz = g1 * s1.ztz + g2 * s2.ztz
-        a_zw = g1 * (s1.xtz.T @ dx + s1.ztz @ dz) + g2 * s2.ztw
-        a_wx = g2 * s2.xtw.T
-        a_wz = g2 * s2.ztw.T
-        a_ww = g2 * s2.wtw
-        a = np.block([[a_xx, a_xz, a_xw], [a_zx, a_zz, a_zw], [a_wx, a_wz, a_ww]])
-        rhs = np.concatenate(
-            [
-                g0 * s0.xty + g1 * s1.xty + g2 * s2.xty,
-                g1 * s1.zty + g2 * s2.zty,
-                g2 * s2.wty,
-            ]
-        )
+        embeddings = self._homog_embeddings()
+        dim = embeddings[0].shape[1]
+        a = np.zeros((dim, dim))
+        rhs = np.zeros(dim)
+        for g, seg, emb in zip(self.gram_weights(), self._segments, embeddings):
+            width = emb.shape[0]
+            a[:width] += g * (seg.full_gram() @ emb)
+            rhs[:width] += g * seg.full_moment()
         return a, rhs
 
     def _homog_embeddings(self) -> list[np.ndarray]:
         """Per segment, the map from observed covariates to the homogenized
         covariate vector (identity on observed groups, hat-matrices on the
         rest)."""
-        p, q, r = self.schema.p, self.schema.q, self.schema.r
-        if self.phase is Phase.PRE:
-            return [np.eye(p)]
-        maps = self.current_maps()
-        if self.phase is Phase.ONE:
-            return [np.hstack([np.eye(p), maps.b_hat]), np.eye(p + q)]
+        bounds = self._bounds()
+        k = len(self._segments)
+        fits = _by_group(self.current_maps()) if k > 1 else []
         return [
-            np.hstack([np.eye(p), maps.b_hat, maps.c_hat]),
-            np.hstack([np.eye(p + q), maps.d_hat]),
-            np.eye(p + q + r),
+            np.hstack([np.eye(bounds[s + 1])] + [fits[g - 1][s] for g in range(s + 1, k)])
+            for s in range(k)
         ]
 
-    def _sse_components(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Gram matrix, moment vector and response norm of the weighted
-        homogenized covariate rows. Always squared row weights: the weighted
-        rows themselves carry the weight, whatever the estimator convention."""
+    def _sse_quadratic(self) -> float:
+        """Fitted part of the weighted response norm, from the Gram matrix
+        and moment vector of the weighted homogenized covariate rows. Always
+        squared row weights: the weighted rows themselves carry the weight,
+        whatever the estimator convention."""
         maps = self._homog_embeddings()
         dim = maps[0].shape[1]
         gram = np.zeros((dim, dim))
         moment = np.zeros(dim)
-        wyy = 0.0
         for w, seg, emb in zip(self.row_weights(), self._segments, maps):
-            u = w * w
             if seg.n == 0:
                 continue
-            seg_gram = seg.full_gram()
-            seg_moment = seg.full_moment()
-            gram += u * (emb.T @ seg_gram @ emb)
-            moment += u * (emb.T @ seg_moment)
-            wyy += u * seg.yty
-        return gram, moment, wyy
-
-    def _sse_quadratic(self) -> float:
-        gram, moment, _ = self._sse_components()
+            gram += w * w * (emb.T @ seg.full_gram() @ emb)
+            moment += w * w * (emb.T @ seg.full_moment())
         if not np.any(moment):
             return 0.0
         return float(moment @ linalg.solve_consistent(gram, moment))
@@ -689,12 +622,8 @@ class AccumulatorState:
     def _sse_rebase(self) -> None:
         # Weights and homogenization maps changed: re-derive the running
         # residual sum for the frozen segments under the new regime.
-        gram, moment, wyy = self._sse_components()
-        if np.any(moment):
-            q = float(moment @ linalg.solve_consistent(gram, moment))
-        else:
-            q = 0.0
-        self._sse = wyy - q
+        q = self._sse_quadratic()
+        self._sse = self.wyy - q
         self._q_prev = q
 
     # ------------------------------------------------------------------
@@ -779,82 +708,44 @@ class AccumulatorState:
         n = self.n_total
         if n == 0:
             raise InsufficientData("no data ingested yet")
-        p, q, r = self.schema.p, self.schema.q, self.schema.r
-        if self.phase is Phase.PRE:
-            s0 = self._segments[0]
-            sig = self._segment_residual_variance(0)
-            if sig is None:
-                raise InsufficientData("need more than p pre-change observations")
-            return sig * linalg.solve_spd(s0.xtx, np.eye(p))
-
         segs = self._segments
-        counts = np.array([seg.n for seg in segs], dtype=np.float64)
-        fracs = counts / n
-        grams = np.array(self.gram_weights())
-
-        sigma_post = self._segment_residual_variance(len(segs) - 1)
-        if sigma_post is None:
+        k = len(segs)
+        bounds = self._bounds()
+        sigma = self._segment_residual_variance(k - 1)
+        if sigma is None:
             raise InsufficientData(
                 "the newest segment is too small to estimate the error variance"
             )
         eta = self._solve_eta()
-        theta = eta[p : p + q]
 
-        # moment estimates from the unweighted segment sums
-        exx = sum(seg.xtx for seg in segs) / n
-        m_z = counts[1:].sum()
-        exz = sum(seg.xtz for seg in segs[1:]) / m_z
-        ezz = sum(seg.ztz for seg in segs[1:]) / m_z
+        # filled from the newest segment back, so block (g, h) ends up pooled
+        # over segments >= max(g, h): exactly those that observe both groups
+        moments = np.zeros((bounds[-1], bounds[-1]))
+        for s in reversed(range(k)):
+            width = bounds[s + 1]
+            moments[:width, :width] = self._pooled_gram(s) / sum(seg.n for seg in segs[s:])
 
-        if self.phase is Phase.ONE:
-            sigma_pre = self._segment_residual_variance(0)
-            if sigma_pre is None:
-                sigma_pre = float(theta @ ezz @ theta) + sigma_post
-            groups = [p, q]
-            moments = [[exx, exz], [exz.T, ezz]]
-            seg_of_group = [0, 1]      # first segment in which each group appears
-            sigmas = [sigma_pre, sigma_post]
-        else:
-            gamma = eta[p + q :]
-            s2 = segs[2]
-            eww = s2.wtw / s2.n
-            exw = s2.xtw / s2.n
-            ezw = s2.ztw / s2.n
-            sigma_mid = self._segment_residual_variance(1)
-            if sigma_mid is None:
-                sigma_mid = float(gamma @ eww @ gamma) + sigma_post
-            sigma_pre = self._segment_residual_variance(0)
-            if sigma_pre is None:
-                sigma_pre = float(theta @ ezz @ theta) + sigma_mid
-            groups = [p, q, r]
-            moments = [[exx, exz, exw], [exz.T, ezz, ezw], [exw.T, ezw.T, eww]]
-            seg_of_group = [0, 1, 2]
-            sigmas = [sigma_pre, sigma_mid, sigma_post]
+        # a segment too small for its own residual variance nests the next
+        # segment's variance plus the part of the group it cannot observe
+        sigmas = [sigma]
+        for s in reversed(range(k - 1)):
+            own = self._segment_residual_variance(s)
+            if own is None:
+                block = slice(bounds[s + 1], bounds[s + 2])
+                own = float(eta[block] @ moments[block, block] @ eta[block]) + sigmas[0]
+            sigmas.insert(0, own)
 
-        n_groups = len(groups)
-        n_segs = len(segs)
-        c_row = [float(np.sum(fracs[s:] * grams[s:])) for s in seg_of_group]
-        d_row = [
-            float(np.sum(fracs[s:] * grams[s:] ** 2 * np.array(sigmas[s:])))
-            for s in seg_of_group
-        ]
-        zero_cross = self.case_label == CASE_UNCORRELATED
-
-        def blockmat(scale_of):
-            rows = []
-            for i in range(n_groups):
-                row = []
-                for j in range(n_groups):
-                    blk = moments[i][j]
-                    if zero_cross and i != j:
-                        blk = np.zeros_like(blk)
-                    row.append(scale_of(i, j) * blk)
-                rows.append(row)
-            return np.block(rows)
-
-        omega = blockmat(lambda i, j: c_row[i])
-        phi = blockmat(lambda i, j: d_row[max(i, j)])
-        omega_inv = linalg.solve_general(omega, np.eye(sum(groups)))
+        fracs = np.array([seg.n for seg in segs], dtype=np.float64) / n
+        grams = np.array(self.gram_weights())
+        sigmas = np.array(sigmas)
+        c_row = np.array([np.sum(fracs[g:] * grams[g:]) for g in range(k)])
+        d_row = np.array([np.sum(fracs[g:] * grams[g:] ** 2 * sigmas[g:]) for g in range(k)])
+        group = np.repeat(np.arange(k), np.diff(bounds))
+        if self.case_label == CASE_UNCORRELATED:
+            moments = np.where(group[:, None] == group[None, :], moments, 0.0)
+        omega = c_row[group][:, None] * moments
+        phi = d_row[np.maximum.outer(group, group)] * moments
+        omega_inv = linalg.solve_general(omega, np.eye(bounds[-1]))
         cov = omega_inv @ phi @ omega_inv.T / n
         return linalg.symmetrize(cov)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import zipfile
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .engine import (
     SecondWeightSpec,
     WeightSpec,
 )
-from .errors import InvalidConfig, NonFiniteData, SchemaMismatch
+from .errors import HetstreamError, InvalidConfig, NonFiniteData, SchemaMismatch
 
 SNAPSHOT_VERSION = 1
 
@@ -30,7 +32,11 @@ _SEG_FIELDS = ("xtx", "xty", "xtz", "ztz", "zty", "xtw", "ztw", "wtw", "wty")
 
 
 def save_state(state: AccumulatorState, path) -> None:
-    """Write a versioned snapshot of the accumulator to ``path`` (.npz)."""
+    """Write a versioned .npz snapshot of the accumulator to exactly ``path``.
+
+    The archive goes to a temporary file beside ``path`` that then replaces
+    it, so an interrupted write never leaves a truncated snapshot behind.
+    """
     meta = {
         "version": SNAPSHOT_VERSION,
         "phase": state.phase.value,
@@ -82,70 +88,88 @@ def save_state(state: AccumulatorState, path) -> None:
         if state.homog.c_hat is not None:
             arrays["h_c"] = state.homog.c_hat
             arrays["h_d"] = state.homog.d_hat
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_state(path) -> AccumulatorState:
-    """Rebuild an accumulator from a snapshot written by save_state."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]))
-        if meta["version"] != SNAPSHOT_VERSION:
-            raise InvalidConfig(f"unsupported snapshot version {meta['version']}")
-        sch = meta["schema"]
-        schema = StreamSchema(sch["p"], sch["q"], sch["r"], tuple(sch["names"]))
-        state = AccumulatorState(
-            schema,
-            weight_convention=meta["convention"],
-            refine_maps=meta["refine_maps"],
+    """Rebuild an accumulator from a snapshot written by save_state.
+
+    A file that is not a readable snapshot (truncated or not an archive, a
+    missing entry, malformed metadata) raises HetstreamError.
+    """
+    try:
+        with np.load(path) as data:
+            return _state_from_snapshot(data)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise HetstreamError(f"{path}: not a readable state snapshot ({exc})") from exc
+
+
+def _state_from_snapshot(data) -> AccumulatorState:
+    meta = json.loads(bytes(data["meta"]))
+    if meta["version"] != SNAPSHOT_VERSION:
+        raise InvalidConfig(f"unsupported snapshot version {meta['version']}")
+    sch = meta["schema"]
+    schema = StreamSchema(sch["p"], sch["q"], sch["r"], tuple(sch["names"]))
+    state = AccumulatorState(
+        schema,
+        weight_convention=meta["convention"],
+        refine_maps=meta["refine_maps"],
+    )
+    state.phase = Phase(meta["phase"])
+    state.case_label = meta["case_label"]
+    state._b_forced = meta["b_forced"]
+    state._cd_forced = meta["cd_forced"]
+    state.k_index = meta["k_index"]
+    state.m_index = meta["m_index"]
+    state.batch_count = meta["batch_count"]
+    state._sse, state._q_prev = (float(v) for v in data["scalars"])
+    segments = []
+    for i, seg_meta in enumerate(meta["segments"]):
+        blocks = {
+            name: data[f"seg{i}_{name}"]
+            for name in _SEG_FIELDS
+            if f"seg{i}_{name}" in data
+        }
+        segments.append(
+            BatchStats(
+                n=seg_meta["n"],
+                phase_tag=seg_meta["phase_tag"],
+                yty=float(data["seg_yty"][i]),
+                **blocks,
+            )
         )
-        state.phase = Phase(meta["phase"])
-        state.case_label = meta["case_label"]
-        state._b_forced = meta["b_forced"]
-        state._cd_forced = meta["cd_forced"]
-        state.k_index = meta["k_index"]
-        state.m_index = meta["m_index"]
-        state.batch_count = meta["batch_count"]
-        state._sse, state._q_prev = (float(v) for v in data["scalars"])
-        segments = []
-        for i, seg_meta in enumerate(meta["segments"]):
-            blocks = {
-                name: data[f"seg{i}_{name}"]
-                for name in _SEG_FIELDS
-                if f"seg{i}_{name}" in data
-            }
-            segments.append(
-                BatchStats(
-                    n=seg_meta["n"],
-                    phase_tag=seg_meta["phase_tag"],
-                    yty=float(data["seg_yty"][i]),
-                    **blocks,
-                )
-            )
-        state._segments = segments
-        if meta["weights"] is not None:
-            state.weights = WeightSpec(
-                sigma0_sq=float(data["w_sigma0_sq"][0]),
-                theta0=data["w_theta0"],
-                e0_zz=data["w_e0_zz"],
-                convention=meta["convention"],
-                provenance=meta["weights"]["provenance"],
-            )
-        if meta["weights2"] is not None:
-            state.weights2 = SecondWeightSpec(
-                sigma0_sq=float(data["w2_sigma0_sq"][0]),
-                gamma0=data["w2_gamma0"],
-                theta0=data["w2_theta0"],
-                e0_ww=data["w2_e0_ww"],
-                e0_zz=data["w2_e0_zz"],
-                provenance=meta["weights2"]["provenance"],
-            )
-        if meta["homog"] is not None:
-            state.homog = HomogenizationMap(
-                b_hat=data["h_b"],
-                c_hat=data["h_c"] if "h_c" in data else None,
-                d_hat=data["h_d"] if "h_d" in data else None,
-                estimated_on=meta["homog"]["estimated_on"],
-            )
+    state._segments = segments
+    if meta["weights"] is not None:
+        state.weights = WeightSpec(
+            sigma0_sq=float(data["w_sigma0_sq"][0]),
+            theta0=data["w_theta0"],
+            e0_zz=data["w_e0_zz"],
+            convention=meta["convention"],
+            provenance=meta["weights"]["provenance"],
+        )
+    if meta["weights2"] is not None:
+        state.weights2 = SecondWeightSpec(
+            sigma0_sq=float(data["w2_sigma0_sq"][0]),
+            gamma0=data["w2_gamma0"],
+            theta0=data["w2_theta0"],
+            e0_ww=data["w2_e0_ww"],
+            e0_zz=data["w2_e0_zz"],
+            provenance=meta["weights2"]["provenance"],
+        )
+    if meta["homog"] is not None:
+        state.homog = HomogenizationMap(
+            b_hat=data["h_b"],
+            c_hat=data["h_c"] if "h_c" in data else None,
+            d_hat=data["h_d"] if "h_d" in data else None,
+            estimated_on=meta["homog"]["estimated_on"],
+        )
     return state
 
 

@@ -1,10 +1,11 @@
 """Dense linear algebra for the small symmetric systems used everywhere else.
 
 Every matrix handled here is a cross-product (Gram) matrix of dimension a few
-dozen at most, so the implementation favors explicit pivot control over raw
-speed: a hand-rolled Cholesky with a relative pivot tolerance backs all SPD
-solves, and a pivoted LU handles the one family of systems that is not
-symmetric (the bordered estimator system once homogenization columns enter).
+dozen at most. SPD solves use LAPACK's Cholesky factorization plus an
+explicit relative pivot tolerance on the factor, so a near-singular Gram
+matrix is reported as rank deficient rather than solved; a pivoted LU
+handles the one family of systems that is not symmetric (the bordered
+estimator system once homogenization columns enter).
 """
 
 from __future__ import annotations
@@ -43,28 +44,31 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    PIVOT_RTOL times the largest diagonal entry of the input.
+    Raises NotPositiveDefinite when a pivot, diag(L)**2, falls at or below
+    PIVOT_RTOL times the largest diagonal entry of the input, or when LAPACK
+    cannot factor the matrix at all.
     """
     a = symmetrize(as_matrix(a))
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionMismatch(f"cholesky needs a square matrix, got {a.shape}")
-    diag_max = float(np.max(np.diag(a))) if n else 0.0
-    if n and diag_max <= 0.0:
+    if n == 0:
+        return a
+    diag_max = float(np.max(np.diag(a)))
+    if diag_max <= 0.0:
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     tol = PIVOT_RTOL * diag_max
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at row {j} is below tolerance {tol:.3e}"
-            )
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    try:
+        lower = scipy.linalg.cholesky(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"LAPACK factorization failed: {exc}") from exc
+    pivots = np.diag(lower) ** 2
+    low = np.flatnonzero(pivots <= tol)
+    if low.size:
+        j = low[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at row {j} is below tolerance {tol:.3e}"
+        )
     return lower
 
 
@@ -85,8 +89,7 @@ def solve_spd(a, b):
         lower = cholesky(a)
     except NotPositiveDefinite as exc:
         raise SingularMatrix(str(exc)) from exc
-    y = scipy.linalg.solve_triangular(lower, b_arr, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(lower.T, y, lower=False, check_finite=False)
+    return scipy.linalg.cho_solve((lower, True), b_arr, check_finite=False)
 
 
 def solve_general(a, b):

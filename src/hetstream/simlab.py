@@ -5,16 +5,13 @@ covariates; covariate groups become visible at the configured event batches.
 The drivers push each replicate through the engine and the baseline
 estimators and aggregate bias/MSE tables or empirical rejection rates.
 
-Replicates are embarrassingly parallel: each one derives its generator from
-(seed, replicate_index), and aggregation is an ordered reduction, so the
-worker count (HETSTREAM_THREADS) never changes the output.
+Replicates run serially; each one derives its generator from
+(seed, replicate_index), so any replicate can be rerun on its own.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,14 +146,6 @@ def gen_stream(config: SimConfig, replicate_index: int) -> list[RawBatch]:
     return batches
 
 
-def _map_replicates(fn, count: int) -> list:
-    workers = max(1, int(os.environ.get("HETSTREAM_THREADS", "1") or "1"))
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def drive_stream(
     config: SimConfig,
     replicate_index: int,
@@ -267,7 +256,7 @@ def run_bias_mse(config: SimConfig, checkpoints: tuple[int, ...] | None = None) 
         except HetstreamError as exc:
             raise HetstreamError(f"replicate {i}: {exc}") from exc
 
-    all_estimates = _map_replicates(one, config.replications)
+    all_estimates = [one(i) for i in range(config.replications)]
 
     result = SimResult(config=config)
     groups = ["beta"] + (["theta"] if config.q else []) + (["gamma"] if config.r else [])
@@ -310,7 +299,7 @@ def run_power(
             )
             return tests
 
-        collected = _map_replicates(one, cfg.replications)
+        collected = [one(i) for i in range(cfg.replications)]
         rates = {}
         for method in methods:
             for j in checkpoints:

@@ -337,3 +337,54 @@ class TestCliStreamSession:
         for j, b in enumerate(report.beta, start=1):
             assert float(kv_a[f"beta_{j}"]) == pytest.approx(b, rel=1e-10)
         assert float(kv_a["theta_1"]) == pytest.approx(report.theta[0], rel=1e-10)
+
+    def test_state_path_used_as_given(self, tmp_path):
+        rng = np.random.default_rng(411)
+        state_path = tmp_path / "run.state"
+        for i in range(2):
+            batch = tmp_path / f"b{i}.csv"
+            self._write_batch(rng, batch, n=100)
+            proc = run_cli("ingest", "--state", str(state_path), "--batch", str(batch))
+            assert proc.returncode == 0, proc.stderr
+        assert _parse_kv(proc.stdout)["n_total"] == "200"
+        assert not (tmp_path / "run.state.npz").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b0.csv", "b1.csv", "run.state"]
+        proc = run_cli("estimate", "--state", str(state_path))
+        assert proc.returncode == 0, proc.stderr
+        assert _parse_kv(proc.stdout)["n_total"] == "200"
+
+    def test_truncated_snapshot_exit_3(self, tmp_path):
+        rng = np.random.default_rng(412)
+        state_path = tmp_path / "s.npz"
+        batch = tmp_path / "b.csv"
+        self._write_batch(rng, batch, n=30)
+        assert run_cli("ingest", "--state", str(state_path), "--batch", str(batch)).returncode == 0
+        data = state_path.read_bytes()
+        state_path.write_bytes(data[: len(data) // 2])
+        for command in (("estimate",), ("ingest", "--batch", str(batch))):
+            proc = run_cli(command[0], "--state", str(state_path), *command[1:])
+            assert proc.returncode == 3
+            assert proc.stderr.startswith("error:")
+            assert "Traceback" not in proc.stderr
+
+    def test_add_w_applies_overrides(self, tmp_path):
+        rng = np.random.default_rng(413)
+        state_path = tmp_path / "s.npz"
+        event = tmp_path / "event.csv"
+        self._write_batch(rng, event, q=1, n=30)
+        assert run_cli(
+            "ingest", "--state", str(state_path), "--batch", str(event), "--event", "add-z",
+        ).returncode == 0
+        second = tmp_path / "second.csv"
+        x, z, w = (rng.standard_normal((30, d)) for d in (2, 1, 1))
+        y = x @ np.array([1.0, -1.0]) + 0.5 * z[:, 0] + 0.25 * w[:, 0] + rng.normal(size=30)
+        hio.write_batch_csv(second, x, y, z=z, w=w)
+        proc = run_cli(
+            "ingest", "--state", str(state_path), "--batch", str(second), "--event", "add-w",
+            "--sigma0-sq", "7", "--theta0", "0.5", "--e0-zz", "2.0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        weights2 = hio.load_state(state_path).weights2
+        assert weights2.sigma0_sq == 7.0
+        np.testing.assert_array_equal(weights2.theta0, [0.5])
+        np.testing.assert_array_equal(weights2.e0_zz, [[2.0]])

@@ -71,6 +71,15 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             linalg.cholesky(-np.eye(2))
 
+    def test_positive_pivot_below_tolerance_rejected(self):
+        # the last pivot is ~1e-14 > 0, so a plain factorization succeeds,
+        # but it lies below PIVOT_RTOL times the largest diagonal entry
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+        with pytest.raises(NotPositiveDefinite):
+            linalg.cholesky(a)
+        with pytest.raises(SingularMatrix):
+            linalg.solve_spd(a, np.array([1.0, 2.0]))
+
     def test_random_spd_sweep(self):
         rng = np.random.default_rng(7)
         for _ in range(100):

@@ -107,13 +107,6 @@ class TestRunBiasMse:
         r2 = run_bias_mse(cfg, (4, 6))
         assert r1.records == r2.records
 
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        cfg = _tiny_config(replications=6)
-        serial = run_bias_mse(cfg, (6,))
-        monkeypatch.setenv("HETSTREAM_THREADS", "4")
-        threaded = run_bias_mse(cfg, (6,))
-        assert serial.records == threaded.records
-
     def test_noiseless_null_coefficients_are_exact(self):
         # with no noise and inactive added covariates every method
         # interpolates exactly
