@@ -73,12 +73,6 @@ class StreamSchema:
         return StreamSchema(self.p, self.q, r)
 
 
-def _grid(blocks: list[list[np.ndarray]]) -> np.ndarray:
-    """np.block for a grid of 2-d blocks; np.block's general shape checks
-    cost several times the copy at these sizes."""
-    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """Exact cross products of one batch. Immutable after construction."""
@@ -131,34 +125,26 @@ class BatchStats:
             **kw,
         )
 
-    def xz_gram(self) -> np.ndarray:
-        """Stacked (p+q) Gram block [[xtx, xtz], [ztx, ztz]]."""
+    def full_gram(self) -> np.ndarray:
+        """Stacked Gram matrix over every observed group, as one
+        concatenation (np.block's general shape checks cost several times
+        the copy at these sizes)."""
         if self.ztz is None:
             return self.xtx
-        return _grid([[self.xtx, self.xtz], [self.xtz.T, self.ztz]])
-
-    def xz_moment(self) -> np.ndarray:
-        """Stacked (p+q) response moment (xty, zty)."""
-        if self.zty is None:
-            return self.xty
-        return np.concatenate([self.xty, self.zty])
-
-    def full_gram(self) -> np.ndarray:
-        """Stacked (p+q+r) Gram block over every observed group."""
         if self.wtw is None:
-            return self.xz_gram()
-        return _grid(
-            [
+            rows = [[self.xtx, self.xtz], [self.xtz.T, self.ztz]]
+        else:
+            rows = [
                 [self.xtx, self.xtz, self.xtw],
                 [self.xtz.T, self.ztz, self.ztw],
                 [self.xtw.T, self.ztw.T, self.wtw],
             ]
-        )
+        return np.concatenate([np.concatenate(row, axis=1) for row in rows])
 
     def full_moment(self) -> np.ndarray:
-        if self.wty is None:
-            return self.xz_moment()
-        return np.concatenate([self.xty, self.zty, self.wty])
+        """Stacked response moment over every observed group."""
+        blocks = [b for b in (self.xty, self.zty, self.wty) if b is not None]
+        return np.concatenate(blocks) if len(blocks) > 1 else self.xty
 
 
 def _rows(arr, n_expected: int, dim: int, label: str) -> np.ndarray:

@@ -3,8 +3,15 @@
 The engine ingests compressed batch statistics and maintains weighted
 cumulative cross-product matrices, a running residual sum of squares and the
 homogenization maps that let pre-change data inform the post-change
-parameters. Its entire memory is a fixed number of small matrices; raw data
-never need to be retained.
+parameters. Its state is a fixed number of small matrices; raw data never
+need to be retained.
+
+Queries solve on read. What they derive from the state (each segment's
+stacked Gram matrix and moment, the pooled Grams, the refined maps, the
+homogenizing embeddings, the bordered system and its solution, each
+segment's own least-squares fit) is kept in a per-state cache, so the
+estimate, residual sum, covariance and F-test after one batch share one
+computation of each. Every mutator clears the cache; it is never persisted.
 
 Phases
 ------
@@ -25,6 +32,7 @@ fidelity experiments; the residual-sum machinery is convention independent.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -200,6 +208,27 @@ class EstimateReport:
         return np.concatenate(parts)
 
 
+def _derived(method):
+    """Cache a query helper's result in the state's cache, keyed on the
+    helper and its arguments, until the next mutation clears it. Callers
+    must not write into the cached arrays."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = method(self, *args)
+            return value
+
+    return cached
+
+
+def _copy(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a.copy()
+
+
 def _gram_weight(w: float, convention: str) -> float:
     return w * w if convention == GRAM_SQUARED else w
 
@@ -299,6 +328,9 @@ class AccumulatorState:
         self._cd_forced = False
         self._sse = 0.0
         self._q_prev = 0.0
+        # derived quantities of the current accumulation (see _derived);
+        # cleared by every mutator, never persisted
+        self._cache: dict = {}
 
     # ------------------------------------------------------------------
     # weights and bookkeeping
@@ -328,10 +360,6 @@ class AccumulatorState:
     # are applied here, at read time, which is algebraically identical.
 
     @property
-    def v_x_pre(self) -> np.ndarray:
-        return self.gram_weights()[0] * self._segments[0].xtx
-
-    @property
     def v_x(self) -> np.ndarray:
         g = self.gram_weights()
         return sum(gi * seg.xtx for gi, seg in zip(g, self._segments))
@@ -358,7 +386,7 @@ class AccumulatorState:
     @property
     def eta_tilde(self) -> np.ndarray:
         """Current coefficient vector (beta, theta[, gamma]); solves on read."""
-        return self._solve_eta()
+        return self._solve_eta().copy()
 
     # ------------------------------------------------------------------
     # ingestion
@@ -373,6 +401,7 @@ class AccumulatorState:
         if stats.p != self.schema.p:
             raise DimensionMismatch(f"batch has p={stats.p}, schema has p={self.schema.p}")
         self._segments[0] = merge(self._segments[0], stats)
+        self._cache.clear()
         self.batch_count += 1
         self._sse_step(stats.yty)
         return self
@@ -434,6 +463,7 @@ class AccumulatorState:
         self.k_index = self.batch_count
         self.phase = Phase.ONE
         self._segments.append(BatchStats.zeros(p, q))
+        self._cache.clear()
         self._sse_rebase()
         return self.ingest_post_change(first_post_stats)
 
@@ -453,6 +483,7 @@ class AccumulatorState:
                 f"schema (p={sch.p}, q={sch.q}, r={sch.r})"
             )
         self._segments[-1] = merge(self._segments[-1], stats)
+        self._cache.clear()
         self.batch_count += 1
         w_last = self.row_weights()[-1]
         self._sse_step(w_last * w_last * stats.yty)
@@ -516,6 +547,7 @@ class AccumulatorState:
         self.m_index = self.batch_count
         self.phase = Phase.TWO
         self._segments.append(BatchStats.zeros(p, q, r))
+        self._cache.clear()
         self._sse_rebase()
         return self.ingest_post_change(first_post_stats)
 
@@ -530,11 +562,18 @@ class AccumulatorState:
         sch = self.schema
         return list(accumulate((0, sch.p, sch.q, sch.r)[: len(self._segments) + 1]))
 
+    @_derived
+    def _full(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked Gram matrix and moment vector of segment s."""
+        seg = self._segments[s]
+        return seg.full_gram(), seg.full_moment()
+
+    @_derived
     def _pooled_gram(self, first: int) -> np.ndarray:
         """Unweighted Gram matrix of the columns segment ``first`` observes,
         pooled over that segment and every later one."""
         width = self._bounds()[first + 1]
-        return sum(seg.full_gram()[:width, :width] for seg in self._segments[first:])
+        return sum(self._full(s)[0][:width, :width] for s in range(first, len(self._segments)))
 
     def current_maps(self) -> HomogenizationMap:
         """Projection maps in effect for estimation.
@@ -543,8 +582,15 @@ class AccumulatorState:
         observed its covariate group (weights cancel within a segment, so
         the pooled unweighted cross products are the natural estimator);
         supplied or forced maps and too-small accumulations fall back to the
-        designated-batch record.
+        designated-batch record. The arrays returned are copies.
         """
+        maps = self._maps()
+        return HomogenizationMap(
+            _copy(maps.b_hat), _copy(maps.c_hat), _copy(maps.d_hat), maps.estimated_on
+        )
+
+    @_derived
+    def _maps(self) -> HomogenizationMap:
         if self.homog is None:
             raise PhaseMismatch("no covariate-addition event has happened yet")
         if not self.refine_maps:
@@ -564,6 +610,7 @@ class AccumulatorState:
         (b,), (c, d) = fits
         return HomogenizationMap(b, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on)
 
+    @_derived
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
         """Bordered normal-equation system of the current phase.
 
@@ -575,19 +622,21 @@ class AccumulatorState:
         dim = embeddings[0].shape[1]
         a = np.zeros((dim, dim))
         rhs = np.zeros(dim)
-        for g, seg, emb in zip(self.gram_weights(), self._segments, embeddings):
+        for s, (g, emb) in enumerate(zip(self.gram_weights(), embeddings)):
+            gram, moment = self._full(s)
             width = emb.shape[0]
-            a[:width] += g * (seg.full_gram() @ emb)
-            rhs[:width] += g * seg.full_moment()
+            a[:width] += g * (gram @ emb)
+            rhs[:width] += g * moment
         return a, rhs
 
+    @_derived
     def _homog_embeddings(self) -> list[np.ndarray]:
         """Per segment, the map from observed covariates to the homogenized
         covariate vector (identity on observed groups, hat-matrices on the
         rest)."""
         bounds = self._bounds()
         k = len(self._segments)
-        fits = _by_group(self.current_maps()) if k > 1 else []
+        fits = _by_group(self._maps()) if k > 1 else []
         return [
             np.hstack([np.eye(bounds[s + 1])] + [fits[g - 1][s] for g in range(s + 1, k)])
             for s in range(k)
@@ -602,11 +651,12 @@ class AccumulatorState:
         dim = maps[0].shape[1]
         gram = np.zeros((dim, dim))
         moment = np.zeros(dim)
-        for w, seg, emb in zip(self.row_weights(), self._segments, maps):
+        for s, (w, seg, emb) in enumerate(zip(self.row_weights(), self._segments, maps)):
             if seg.n == 0:
                 continue
-            gram += w * w * (emb.T @ seg.full_gram() @ emb)
-            moment += w * w * (emb.T @ seg.full_moment())
+            seg_gram, seg_moment = self._full(s)
+            gram += w * w * (emb.T @ seg_gram @ emb)
+            moment += w * w * (emb.T @ seg_moment)
         if not np.any(moment):
             return 0.0
         return float(moment @ linalg.solve_consistent(gram, moment))
@@ -630,6 +680,7 @@ class AccumulatorState:
     # queries
     # ------------------------------------------------------------------
 
+    @_derived
     def _solve_eta(self) -> np.ndarray:
         if self.n_total == 0:
             raise InsufficientData("no data ingested yet")
@@ -642,7 +693,7 @@ class AccumulatorState:
 
     def estimate(self) -> EstimateReport:
         """Current coefficient estimates with plug-in covariance."""
-        eta = self._solve_eta()
+        eta = self._solve_eta().copy()
         p, q = self.schema.p, self.schema.q
         theta = gamma = None
         if self.phase is not Phase.PRE:
@@ -674,16 +725,27 @@ class AccumulatorState:
         """Theta block of the plain OLS fit on the newest segment only."""
         if self.phase is Phase.PRE:
             raise PhaseMismatch("theta does not exist before the first event")
-        seg = self._segments[-1]
-        if seg.n == 0:
+        newest = len(self._segments) - 1
+        if self._segments[newest].n == 0:
             raise InsufficientData("the current segment has no data yet")
-        eta = linalg.solve_spd(seg.full_gram(), seg.full_moment())
+        eta = self._segment_fit(newest)
+        if eta is None:
+            raise SingularMatrix("the current segment's design is rank deficient")
         p, q = self.schema.p, self.schema.q
-        return eta[p : p + q]
+        return eta[p : p + q].copy()
 
     def update_sse(self) -> float:
         """Running residual sum of squares of the weighted homogenized fit."""
         return max(self._sse, 0.0)
+
+    @_derived
+    def _segment_fit(self, index: int) -> np.ndarray | None:
+        """Coefficients of the plain OLS fit within one segment; None when
+        its design is rank deficient."""
+        try:
+            return linalg.solve_spd(*self._full(index))
+        except SingularMatrix:
+            return None
 
     def _segment_residual_variance(self, index: int) -> float | None:
         """Residual variance of the plain OLS fit within one segment."""
@@ -691,11 +753,10 @@ class AccumulatorState:
         dim = seg.p + seg.q + seg.r
         if seg.n <= dim:
             return None
-        try:
-            eta = linalg.solve_spd(seg.full_gram(), seg.full_moment())
-        except SingularMatrix:
+        eta = self._segment_fit(index)
+        if eta is None:
             return None
-        rss = seg.yty - float(seg.full_moment() @ eta)
+        rss = seg.yty - float(self._full(index)[1] @ eta)
         return max(rss, 0.0) / (seg.n - dim)
 
     def asymptotic_covariance(self) -> np.ndarray:

@@ -84,15 +84,17 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
 
 
 def numerator_factor(state: AccumulatorState) -> np.ndarray:
-    """Schur-complement factor of the bordered system.
+    """Schur complement of the state's bordered system A on the tested block.
 
+    A_zz - A_zx A_xx^{-1} A_xz, which in phase ONE is
     V^Z - V^{ZX} (V^X)^{-1} (V^X_pre B-hat + V^{XZ}); with B-hat = 0 this is
     the plain uncorrelated-case factor.
     """
     if state.phase is not Phase.ONE:
         raise PhaseMismatch("the added-covariate test applies to the (x, z) phase")
-    coupled = state.v_x_pre @ state.current_maps().b_hat + state.v_xz
-    return state.v_z - state.v_xz.T @ linalg.solve_spd(state.v_x, coupled)
+    a, _ = state._system()
+    p = state.schema.p
+    return a[p:, p:] - a[p:, :p] @ linalg.solve_spd(a[:p, :p], a[:p, p:])
 
 
 def f_statistic(state: AccumulatorState, alpha: float = 0.05, *, denominator_df: str = "paper") -> TestReport:

@@ -6,14 +6,16 @@ explicit relative pivot tolerance on the factor, so a near-singular Gram
 matrix is reported as rank deficient rather than solved; a pivoted LU
 handles the one family of systems that is not symmetric (the bordered
 estimator system once homogenization columns enter).
+
+The LAPACK routines (dpotrf/dpotrs, dgetrf/dgetrs) are called directly:
+at these sizes scipy.linalg's wrappers around them cost several times the
+factorization itself. Any nonzero LAPACK ``info`` is reported as an error.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
@@ -27,13 +29,6 @@ def as_matrix(a) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={a.ndim}")
     return a
-
-
-def as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got ndim={v.ndim}")
-    return v
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -58,10 +53,9 @@ def cholesky(a) -> np.ndarray:
     if diag_max <= 0.0:
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     tol = PIVOT_RTOL * diag_max
-    try:
-        lower = scipy.linalg.cholesky(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"LAPACK factorization failed: {exc}") from exc
+    lower, info = lapack.dpotrf(a, lower=1)
+    if info:
+        raise NotPositiveDefinite(f"LAPACK dpotrf failed (info={info})")
     pivots = np.diag(lower) ** 2
     low = np.flatnonzero(pivots <= tol)
     if low.size:
@@ -89,7 +83,12 @@ def solve_spd(a, b):
         lower = cholesky(a)
     except NotPositiveDefinite as exc:
         raise SingularMatrix(str(exc)) from exc
-    return scipy.linalg.cho_solve((lower, True), b_arr, check_finite=False)
+    if not lower.size:
+        return b_arr.copy()
+    x, info = lapack.dpotrs(lower, b_arr, lower=1)
+    if info:
+        raise SingularMatrix(f"LAPACK dpotrs failed (info={info})")
+    return x
 
 
 def solve_general(a, b):
@@ -107,21 +106,27 @@ def solve_general(a, b):
         raise DimensionMismatch(
             f"rhs has {b_arr.shape[0]} rows, matrix is {n}x{n}"
         )
-    with warnings.catch_warnings():
-        # singularity is detected from the U diagonal below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    if n == 0:
+        return b_arr.copy()
+    lu, piv, info = lapack.dgetrf(a)
+    if info:
+        # info > 0: an exactly zero pivot in U
+        raise SingularMatrix(f"LAPACK dgetrf failed (info={info}); system is rank deficient")
     u_diag = np.abs(np.diag(lu))
-    u_max = float(np.max(u_diag)) if n else 0.0
-    if n and (u_max == 0.0 or np.min(u_diag) <= PIVOT_RTOL * u_max):
+    if np.min(u_diag) <= PIVOT_RTOL * float(np.max(u_diag)):
         raise SingularMatrix("LU pivot below tolerance; system is rank deficient")
-    return scipy.linalg.lu_solve((lu, piv), b_arr, check_finite=False)
+    x, info = lapack.dgetrs(lu, piv, b_arr)
+    if info:
+        raise SingularMatrix(f"LAPACK dgetrs failed (info={info})")
+    return x
 
 
 def quad_form(a, v) -> float:
     """v.T @ a @ v as an exact double contraction."""
     a = as_matrix(a)
-    v = as_vector(v)
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d vector, got ndim={v.ndim}")
     if a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
         raise DimensionMismatch(
             f"quad_form dims disagree: matrix {a.shape}, vector {v.shape}"

@@ -11,7 +11,6 @@ Replicates run serially; each one derives its generator from
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,11 +96,10 @@ class RawBatch:
 
 @dataclass
 class SimResult:
-    """Flat records (method, checkpoint, metric, value) plus per-method runtimes."""
+    """Flat records (method, checkpoint, metric, value)."""
 
     config: SimConfig
     records: list[tuple[str, float, str, float]] = field(default_factory=list)
-    runtimes: dict[str, float] = field(default_factory=dict)
 
     def add(self, method: str, checkpoint: float, metric: str, value: float) -> None:
         self.records.append((method, float(checkpoint), metric, float(value)))
@@ -154,7 +152,6 @@ def drive_stream(
     methods: tuple[str, ...] = METHODS,
     collect_tests: bool = False,
     alpha: float = 0.05,
-    timers: dict[str, float] | None = None,
 ):
     """Push one replicate through the selected estimators.
 
@@ -185,47 +182,33 @@ def drive_stream(
     tests: dict = {}
     check = set(checkpoints)
 
-    def timed(name, fn, *args, **kwargs):
-        if timers is None:
-            return fn(*args, **kwargs)
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        timers[name] = timers.get(name, 0.0) + (time.perf_counter() - t0)
-        return out
-
     for j, batch in enumerate(stream, start=1):
         stats = compress_batch(batch.x, batch.y, schema, z_rows=batch.z, w_rows=batch.w)
         if aue is not None:
             if j == config.k + 1:
-                timed(
-                    "AUE",
-                    aue.begin_update_phase,
-                    stats,
-                    assume_uncorrelated=uncorrelated,
-                    **overrides,
-                )
+                aue.begin_update_phase(stats, assume_uncorrelated=uncorrelated, **overrides)
             elif second_event is not None and j == second_event:
-                timed("AUE", aue.begin_second_update, stats)
+                aue.begin_second_update(stats)
             elif j <= config.k:
-                timed("AUE", aue.ingest_pre_change, stats)
+                aue.ingest_pre_change(stats)
             else:
-                timed("AUE", aue.ingest_post_change, stats)
+                aue.ingest_post_change(stats)
         if nue is not None:
-            timed("NUE", nue.ingest, stats)
+            nue.ingest(stats)
         if ave is not None:
-            timed("AVE", ave.ingest, stats)
+            ave.ingest(stats)
 
         if j in check:
             if aue is not None:
-                estimates[("AUE", j)] = timed("AUE", aue.estimate)
+                estimates[("AUE", j)] = aue.estimate()
                 if collect_tests:
-                    tests[("AUE", j)] = timed("AUE", inference.test_theta_zero, aue, alpha)
+                    tests[("AUE", j)] = inference.test_theta_zero(aue, alpha)
             if nue is not None:
-                estimates[("NUE", j)] = timed("NUE", nue.estimate)
+                estimates[("NUE", j)] = nue.estimate()
                 if collect_tests:
-                    tests[("NUE", j)] = timed("NUE", nue.f_test_theta_zero, alpha)
+                    tests[("NUE", j)] = nue.f_test_theta_zero(alpha)
             if ave is not None:
-                estimates[("AVE", j)] = timed("AVE", ave.estimate)
+                estimates[("AVE", j)] = ave.estimate()
     if collect_tests:
         return estimates, tests
     return estimates
@@ -248,11 +231,10 @@ def run_bias_mse(config: SimConfig, checkpoints: tuple[int, ...] | None = None) 
         "theta": config.effective_theta,
         "gamma": np.asarray(config.gamma, dtype=np.float64),
     }
-    timers: dict[str, float] = {}
 
     def one(i):
         try:
-            return drive_stream(config, i, tuple(checkpoints), timers=timers)
+            return drive_stream(config, i, tuple(checkpoints))
         except HetstreamError as exc:
             raise HetstreamError(f"replicate {i}: {exc}") from exc
 
@@ -271,7 +253,6 @@ def run_bias_mse(config: SimConfig, checkpoints: tuple[int, ...] | None = None) 
                 bias, mse = _bias_mse(errors)
                 result.add(method, j, f"bias_{group}", bias)
                 result.add(method, j, f"mse_{group}", mse)
-    result.runtimes = timers
     return result
 
 
@@ -289,13 +270,11 @@ def run_power(
     """
     result = SimResult(config=config)
     methods = ("AUE", "NUE")
-    timers: dict[str, float] = {}
 
     def rejection_rates(cfg: SimConfig, checkpoints: tuple[int, ...]) -> dict:
         def one(i):
             _, tests = drive_stream(
-                cfg, i, checkpoints, methods=methods, collect_tests=True,
-                alpha=alpha, timers=timers,
+                cfg, i, checkpoints, methods=methods, collect_tests=True, alpha=alpha
             )
             return tests
 
@@ -319,7 +298,6 @@ def run_power(
         for method in methods:
             for j in j_grid:
                 result.add(method, j, "power", rates[(method, j)])
-    result.runtimes = timers
     return result
 
 

@@ -145,3 +145,58 @@ class TestSolveConsistent:
         b = np.array([2.0, 2.0])
         x = linalg.solve_consistent(a, b)
         np.testing.assert_allclose(a @ x, b, atol=1e-10)
+
+
+class TestLapackPath:
+    """The direct dpotrf/dpotrs and dgetrf/dgetrs calls: failures, shapes
+    and input layouts."""
+
+    def test_indefinite_raises(self):
+        # positive diagonal, eigenvalues -1 and 3
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            linalg.cholesky(a)
+        with pytest.raises(SingularMatrix):
+            linalg.solve_spd(a, np.ones(2))
+
+    def test_exactly_singular_general_raises(self):
+        for a in (
+            np.zeros((2, 2)),
+            np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.5, 0.0, 4.0]]),
+        ):
+            with pytest.raises(SingularMatrix):
+                linalg.solve_general(a, np.ones(a.shape[0]))
+
+    @pytest.mark.parametrize("rhs_shape", [(3,), (3, 1), (3, 4)])
+    def test_rhs_shape_kept(self, rhs_shape):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((6, 3))
+        spd = g.T @ g
+        general = spd + np.triu(rng.standard_normal((3, 3)), 1)
+        b = rng.standard_normal(rhs_shape)
+        for solve, a in ((linalg.solve_spd, spd), (linalg.solve_general, general)):
+            x = solve(a, b)
+            assert x.shape == rhs_shape
+            np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+    def test_one_by_one(self):
+        np.testing.assert_allclose(linalg.cholesky(np.array([[4.0]])), [[2.0]])
+        np.testing.assert_allclose(linalg.solve_spd(np.array([[4.0]]), np.array([2.0])), [0.5])
+        np.testing.assert_allclose(
+            linalg.solve_general(np.array([[-2.0]]), np.array([[4.0, 6.0]])), [[-2.0, -3.0]]
+        )
+        with pytest.raises(SingularMatrix):
+            linalg.solve_general(np.array([[0.0]]), np.array([1.0]))
+
+    def test_integer_and_fortran_inputs_match_numpy(self):
+        spd_int = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]])
+        general_int = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        b_int = np.array([1, -2, 3])
+        for solve, a in ((linalg.solve_spd, spd_int), (linalg.solve_general, general_int)):
+            expected = np.linalg.solve(a.astype(float), b_int.astype(float))
+            np.testing.assert_allclose(solve(a, b_int), expected, rtol=1e-12)
+            a_f = np.asfortranarray(a.astype(float))
+            b_f = np.asfortranarray(np.column_stack([b_int, 2 * b_int]).astype(float))
+            np.testing.assert_allclose(
+                solve(a_f, b_f), np.linalg.solve(a.astype(float), b_f), rtol=1e-12
+            )

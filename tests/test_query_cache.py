@@ -1,0 +1,188 @@
+"""The state's cache of derived quantities: coherence and solve counts.
+
+Queries read the maps, the bordered system and its solution from a cache
+that every mutator clears. A stream queried after every batch must
+therefore give bit-identical answers to the same stream queried only at the
+end, or saved and reloaded mid-phase, and writing into a returned array
+must not leak into later queries. The solve-count guard pins how many
+factorizations each operation costs, so a refactor that drops the cache
+fails here without a benchmark run.
+"""
+
+import collections
+import warnings
+
+import numpy as np
+import pytest
+
+import hetstream as hs
+from hetstream import io, linalg, simlab
+from hetstream.errors import HetstreamError
+
+CFG = simlab.example4_config(n=40, replications=1, seed=3)
+SCHEMA = hs.StreamSchema(CFG.p, CFG.q, CFG.r)
+FIRST_EVENT = CFG.k + 1
+SECOND_EVENT = CFG.k + CFG.m + 1
+# the last batch of each phase and one batch in the middle of each phase
+CHECKPOINTS = (CFG.k, SECOND_EVENT - 1, CFG.j_max)
+MIDPOINTS = (5, 16, 26)
+
+OPTIONS = {
+    "default": ({}, {}),
+    "frozen-maps": ({"refine_maps": False}, {}),
+    "uncorrelated": ({}, {"assume_uncorrelated": True}),
+    "supplied-b": ({}, {"b_hat": np.full((CFG.p, CFG.q), 0.1)}),
+}
+
+
+def batches():
+    return [
+        hs.compress_batch(b.x, b.y, SCHEMA, z_rows=b.z, w_rows=b.w)
+        for b in simlab.gen_stream(CFG, 0)
+    ]
+
+
+def feed(state, j, stats, begin_options):
+    if j == FIRST_EVENT:
+        state.begin_update_phase(stats, **begin_options)
+    elif j == SECOND_EVENT:
+        state.begin_second_update(stats)
+    elif j <= CFG.k:
+        state.ingest_pre_change(stats)
+    else:
+        state.ingest_post_change(stats)
+
+
+def queries(state) -> dict:
+    """Every query's answer, or the name of the error it raised."""
+    calls = {
+        "estimate": state.estimate,
+        "sse": state.update_sse,
+        "test": lambda: hs.test_theta_zero(state),
+        "cov": state.asymptotic_covariance,
+        "maps": state.current_maps,
+        "eta": lambda: state.eta_tilde,
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            value = call()
+        except HetstreamError as exc:
+            out[name] = type(exc).__name__
+            continue
+        if name == "estimate":
+            value = (value.beta, value.theta, value.gamma, value.theta_naive, value.cov_plugin)
+        elif name == "test":
+            value = (value.f_value, value.p_value, value.reject)
+        elif name == "maps":
+            value = (value.b_hat, value.c_hat, value.d_hat)
+        out[name] = value
+    return out
+
+
+def assert_identical(got, expected):
+    assert got.keys() == expected.keys()
+    for name in expected:
+        a, b = got[name], expected[name]
+        if isinstance(b, tuple):
+            assert len(a) == len(b), name
+            for u, v in zip(a, b):
+                if v is None:
+                    assert u is None, name
+                else:
+                    np.testing.assert_array_equal(u, v, err_msg=name)
+        elif isinstance(b, str):
+            assert a == b, name
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def run(option, query_at=None, reload_at=(), tmp_path=None):
+    """Queries after the batches in ``query_at`` (every batch when None),
+    reloading the state from a snapshot after the batches in ``reload_at``."""
+    state_options, begin_options = OPTIONS[option]
+    state = hs.new_stream(hs.StreamSchema(CFG.p), **state_options)
+    answers = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for j, stats in enumerate(batches(), start=1):
+            feed(state, j, stats, begin_options)
+            if j in reload_at:
+                path = tmp_path / f"state{j}.npz"
+                io.save_state(state, path)
+                state = io.load_state(path)
+            if query_at is None or j in query_at:
+                answers[j] = queries(state)
+    return answers
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_queries_do_not_change_answers(option):
+    every = run(option)
+    only_at_end = run(option, query_at=CHECKPOINTS)
+    for j in CHECKPOINTS:
+        assert_identical(every[j], only_at_end[j])
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_snapshot_round_trip_mid_phase(option, tmp_path):
+    every = run(option)
+    reloaded = run(option, reload_at=MIDPOINTS, tmp_path=tmp_path)
+    for j in every:
+        assert_identical(reloaded[j], every[j])
+
+
+def test_writing_into_answers_does_not_leak():
+    state = hs.new_stream(hs.StreamSchema(CFG.p))
+    for j, stats in enumerate(batches()[:FIRST_EVENT + 3], start=1):
+        feed(state, j, stats, {})
+    before = queries(state)
+    report = state.estimate()
+    report.beta[:] = 0.0
+    report.theta[:] = 0.0
+    report.theta_naive[:] = 0.0
+    state.current_maps().b_hat[:] = 0.0
+    state.eta_tilde[:] = 0.0
+    state.naive_theta()[:] = 0.0
+    assert_identical(queries(state), before)
+
+
+def test_solve_counts(monkeypatch):
+    """Factorizations per operation on an Example-4 stream queried as the
+    monitor workload queries it: estimate and SSE after every batch, then
+    the F-test in phase ONE."""
+    calls = collections.Counter()
+    for name in ("solve_spd", "solve_general"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["solves"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+
+    def solves(call, *args):
+        calls.clear()
+        call(*args)
+        return calls["solves"]
+
+    state = hs.new_stream(hs.StreamSchema(CFG.p))
+    seen = collections.defaultdict(set)
+    for j, stats in enumerate(batches(), start=1):
+        if j in (FIRST_EVENT, SECOND_EVENT):
+            feed(state, j, stats, {})
+        else:
+            seen[f"ingest {state.phase.name}"].add(solves(feed, state, j, stats, {}))
+        seen[f"estimate {state.phase.name}"].add(solves(state.estimate))
+        seen["update_sse"].add(solves(state.update_sse))
+        if state.phase is hs.Phase.ONE:
+            seen["test"].add(solves(hs.test_theta_zero, state))
+
+    assert seen["ingest PRE"] == {1}
+    assert seen["ingest ONE"] == {2}
+    assert seen["ingest TWO"] == {4}
+    assert max(seen["estimate PRE"]) <= 3
+    assert max(seen["estimate ONE"]) <= 4
+    assert max(seen["estimate TWO"]) <= 5
+    assert max(seen["test"]) <= 1
+    assert seen["update_sse"] == {0}
