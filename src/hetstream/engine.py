@@ -6,12 +6,19 @@ homogenization maps that let pre-change data inform the post-change
 parameters. Its state is a fixed number of small matrices; raw data never
 need to be retained.
 
-Queries solve on read. What they derive from the state (each segment's
-stacked Gram matrix and moment, the pooled Grams, the refined maps, the
-homogenizing embeddings, the bordered system and its solution, each
-segment's own least-squares fit) is kept in a per-state cache, so the
-estimate, residual sum, covariance and F-test after one batch share one
-computation of each. Every mutator clears the cache; it is never persisted.
+Queries solve on read, and what they derive from the state is cached with
+one of two lifetimes, so each Gram matrix is factored once for as long as
+it lives. Only the newest segment ever changes: a batch merges into it and
+an event appends a new one. So each segment's stacked Gram matrix and
+moment, its Cholesky factor and its own least-squares fit are kept per
+segment, and a merge drops only the merged segment's entries; frozen
+segments keep theirs across batches. What depends on the weights or on the
+newest segment (the row weights themselves, the pooled Grams, the refined
+maps, the homogenizing embeddings, the bordered system and its solution) is
+kept per batch and cleared by every mutator. The newest segment's factor serves the maps of
+the group it revealed (their leading-block fits), its own fit and, in
+Phase.PRE, where the bordered system is segment 0's Gram, the estimate and
+the residual sum. Neither cache is persisted.
 
 Phases
 ------
@@ -53,6 +60,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     InvalidConfig,
+    NotPositiveDefinite,
     PhaseMismatch,
     SingularMatrix,
 )
@@ -209,8 +217,9 @@ class EstimateReport:
 
 
 def _derived(method):
-    """Cache a query helper's result in the state's cache, keyed on the
-    helper and its arguments, until the next mutation clears it. Callers
+    """Cache a query helper's result in the state's per-batch cache, keyed
+    on the helper and its arguments, until the next mutation clears it.
+    Helpers of one segment's own sums use _per_segment instead. Callers
     must not write into the cached arrays."""
 
     @functools.wraps(method)
@@ -220,6 +229,23 @@ def _derived(method):
             return self._cache[key]
         except KeyError:
             value = self._cache[key] = method(self, *args)
+            return value
+
+    return cached
+
+
+def _per_segment(method):
+    """Cache a helper that reads only segment ``s`` in the state's
+    per-segment cache, until a batch is merged into that segment. Callers
+    must not write into the cached arrays."""
+
+    @functools.wraps(method)
+    def cached(self, s):
+        entries = self._segment_cache.setdefault(s, {})
+        try:
+            return entries[method.__name__]
+        except KeyError:
+            value = entries[method.__name__] = method(self, s)
             return value
 
     return cached
@@ -239,10 +265,14 @@ def _by_group(maps: HomogenizationMap) -> list[list[np.ndarray | None]]:
     return [[maps.b_hat], [maps.c_hat, maps.d_hat]]
 
 
-def _fit_maps(gram: np.ndarray, widths, group: slice) -> list[np.ndarray]:
+def _fit_maps(gram: np.ndarray, widths, group: slice, lower=None) -> list[np.ndarray]:
     """Least-squares projections of the columns ``group`` of a Gram matrix
-    onto its leading ``width`` columns, one per width."""
-    return [linalg.solve_spd(gram[:w, :w], gram[:w, group]) for w in widths]
+    onto its leading ``width`` columns, one per width. ``lower``, a
+    Cholesky factor of the whole Gram matrix when given, factors every
+    leading block at once; without it each block is factored alone."""
+    if lower is None:
+        return [linalg.solve_spd(gram[:w, :w], gram[:w, group]) for w in widths]
+    return [linalg.solve_cholesky(lower, gram[:w, group]) for w in widths]
 
 
 def _initial_choices(stats: BatchStats, **overrides) -> tuple[dict, str]:
@@ -328,14 +358,17 @@ class AccumulatorState:
         self._cd_forced = False
         self._sse = 0.0
         self._q_prev = 0.0
-        # derived quantities of the current accumulation (see _derived);
-        # cleared by every mutator, never persisted
+        # derived quantities, never persisted: per batch (see _derived),
+        # cleared by every mutator, and per segment (see _per_segment),
+        # segment index -> entries, dropped when that segment is merged into
         self._cache: dict = {}
+        self._segment_cache: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # weights and bookkeeping
     # ------------------------------------------------------------------
 
+    @_derived
     def row_weights(self) -> tuple[float, ...]:
         """Row weight applied to each segment under the current phase."""
         if self.phase is Phase.PRE:
@@ -344,6 +377,7 @@ class AccumulatorState:
             return (self.weights.w1, self.weights.w2)
         return (self.weights2.w_pre, self.weights2.w_mid, self.weights2.w_post)
 
+    @_derived
     def gram_weights(self) -> tuple[float, ...]:
         return tuple(_gram_weight(w, self.convention) for w in self.row_weights())
 
@@ -400,9 +434,7 @@ class AccumulatorState:
             raise PhaseMismatch(f"expected an x-only batch, got {stats.phase_tag!r}")
         if stats.p != self.schema.p:
             raise DimensionMismatch(f"batch has p={stats.p}, schema has p={self.schema.p}")
-        self._segments[0] = merge(self._segments[0], stats)
-        self._cache.clear()
-        self.batch_count += 1
+        self._merge_into(0, stats)
         self._sse_step(stats.yty)
         return self
 
@@ -482,9 +514,7 @@ class AccumulatorState:
                 f"batch dims (p={stats.p}, q={stats.q}, r={stats.r}) do not match "
                 f"schema (p={sch.p}, q={sch.q}, r={sch.r})"
             )
-        self._segments[-1] = merge(self._segments[-1], stats)
-        self._cache.clear()
-        self.batch_count += 1
+        self._merge_into(len(self._segments) - 1, stats)
         w_last = self.row_weights()[-1]
         self._sse_step(w_last * w_last * stats.yty)
         return self
@@ -551,6 +581,12 @@ class AccumulatorState:
         self._sse_rebase()
         return self.ingest_post_change(first_post_stats)
 
+    def _merge_into(self, s: int, stats: BatchStats) -> None:
+        self._segments[s] = merge(self._segments[s], stats)
+        self._cache.clear()
+        self._segment_cache.pop(s, None)
+        self.batch_count += 1
+
     # ------------------------------------------------------------------
     # system assembly
     # ------------------------------------------------------------------
@@ -562,11 +598,20 @@ class AccumulatorState:
         sch = self.schema
         return list(accumulate((0, sch.p, sch.q, sch.r)[: len(self._segments) + 1]))
 
-    @_derived
+    @_per_segment
     def _full(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked Gram matrix and moment vector of segment s."""
         seg = self._segments[s]
         return seg.full_gram(), seg.full_moment()
+
+    @_per_segment
+    def _factor(self, s: int) -> np.ndarray | None:
+        """Cholesky factor of segment s's Gram matrix; None when it fails
+        the pivot rule."""
+        try:
+            return linalg.cholesky(self._full(s)[0])
+        except NotPositiveDefinite:
+            return None
 
     @_derived
     def _pooled_gram(self, first: int) -> np.ndarray:
@@ -598,12 +643,20 @@ class AccumulatorState:
         bounds = self._bounds()
         fits = _by_group(self.homog)
         forced = (self._b_forced, self._cd_forced)
-        for g in range(1, len(self._segments)):
+        newest = len(self._segments) - 1
+        for g in range(1, newest + 1):
             if forced[g - 1]:
                 continue
+            # the newest group's pooled Gram is the newest segment's own, so
+            # that segment's factor serves its fits; when the whole Gram fails
+            # the pivot rule, each leading block is factored alone
+            lower = self._factor(g) if g == newest else None
             try:
                 fits[g - 1] = _fit_maps(
-                    self._pooled_gram(g), bounds[1 : g + 1], slice(bounds[g], bounds[g + 1])
+                    self._pooled_gram(g),
+                    bounds[1 : g + 1],
+                    slice(bounds[g], bounds[g + 1]),
+                    lower,
                 )
             except SingularMatrix:
                 pass
@@ -646,7 +699,8 @@ class AccumulatorState:
         """Fitted part of the weighted response norm, from the Gram matrix
         and moment vector of the weighted homogenized covariate rows. Always
         squared row weights: the weighted rows themselves carry the weight,
-        whatever the estimator convention."""
+        whatever the estimator convention. With one segment they are
+        segment 0's own, so its fit is the solve."""
         maps = self._homog_embeddings()
         dim = maps[0].shape[1]
         gram = np.zeros((dim, dim))
@@ -659,7 +713,10 @@ class AccumulatorState:
             moment += w * w * (emb.T @ seg_moment)
         if not np.any(moment):
             return 0.0
-        return float(moment @ linalg.solve_consistent(gram, moment))
+        eta = self._segment_fit(0) if len(self._segments) == 1 else None
+        if eta is None:
+            eta = linalg.solve_consistent(gram, moment)
+        return float(moment @ eta)
 
     def _sse_step(self, wyy_add: float) -> None:
         # Two-term update: previous quadratic term comes back, the refreshed
@@ -671,10 +728,12 @@ class AccumulatorState:
 
     def _sse_rebase(self) -> None:
         # Weights and homogenization maps changed: re-derive the running
-        # residual sum for the frozen segments under the new regime.
-        q = self._sse_quadratic()
-        self._sse = self.wyy - q
-        self._q_prev = q
+        # residual sum for the frozen segments under the new regime. No
+        # quadratic term is solved here: the ingest that follows every
+        # rebase adds q_prev back and subtracts the refreshed term, so
+        # wyy with q_prev = 0 gives the same sum as wyy - q with q_prev = q.
+        self._sse = self.wyy
+        self._q_prev = 0.0
 
     # ------------------------------------------------------------------
     # queries
@@ -686,10 +745,13 @@ class AccumulatorState:
             raise InsufficientData("no data ingested yet")
         if self.phase is not Phase.PRE and self.m_post == 0:
             raise InsufficientData("no post-change observations; theta is unidentified")
-        a, rhs = self._system()
         if self.phase is Phase.PRE:
-            return linalg.solve_spd(a, rhs)
-        return linalg.solve_general(a, rhs)
+            # the one-segment bordered system is segment 0's own Gram
+            eta = self._segment_fit(0)
+            if eta is None:
+                raise SingularMatrix("the pre-change design is rank deficient")
+            return eta
+        return linalg.solve_general(*self._system())
 
     def estimate(self) -> EstimateReport:
         """Current coefficient estimates with plug-in covariance."""
@@ -738,14 +800,14 @@ class AccumulatorState:
         """Running residual sum of squares of the weighted homogenized fit."""
         return max(self._sse, 0.0)
 
-    @_derived
+    @_per_segment
     def _segment_fit(self, index: int) -> np.ndarray | None:
         """Coefficients of the plain OLS fit within one segment; None when
         its design is rank deficient."""
-        try:
-            return linalg.solve_spd(*self._full(index))
-        except SingularMatrix:
+        lower = self._factor(index)
+        if lower is None:
             return None
+        return linalg.solve_cholesky(lower, self._full(index)[1])
 
     def _segment_residual_variance(self, index: int) -> float | None:
         """Residual variance of the plain OLS fit within one segment."""

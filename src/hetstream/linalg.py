@@ -10,6 +10,11 @@ estimator system once homogenization columns enter).
 The LAPACK routines (dpotrf/dpotrs, dgetrf/dgetrs) are called directly:
 at these sizes scipy.linalg's wrappers around them cost several times the
 factorization itself. Any nonzero LAPACK ``info`` is reported as an error.
+
+A factor can be kept and solved with again: the leading w x w block of the
+Cholesky factor of a Gram matrix is the factor of that Gram matrix's
+leading w x w block, so solve_cholesky serves every leading sub-system of
+a factored matrix without factoring again.
 """
 
 from __future__ import annotations
@@ -49,17 +54,16 @@ def cholesky(a) -> np.ndarray:
         raise DimensionMismatch(f"cholesky needs a square matrix, got {a.shape}")
     if n == 0:
         return a
-    diag_max = float(np.max(np.diag(a)))
+    diag_max = float(a.diagonal().max())
     if diag_max <= 0.0:
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     tol = PIVOT_RTOL * diag_max
     lower, info = lapack.dpotrf(a, lower=1)
     if info:
         raise NotPositiveDefinite(f"LAPACK dpotrf failed (info={info})")
-    pivots = np.diag(lower) ** 2
-    low = np.flatnonzero(pivots <= tol)
-    if low.size:
-        j = low[0]
+    pivots = lower.diagonal() ** 2
+    if pivots.min() <= tol:
+        j = int(np.argmax(pivots <= tol))
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at row {j} is below tolerance {tol:.3e}"
         )
@@ -83,9 +87,26 @@ def solve_spd(a, b):
         lower = cholesky(a)
     except NotPositiveDefinite as exc:
         raise SingularMatrix(str(exc)) from exc
-    if not lower.size:
+    return solve_cholesky(lower, b_arr)
+
+
+def solve_cholesky(lower: np.ndarray, b):
+    """Solve a[:w, :w] @ x = b, with w the number of rows of b, given the
+    Cholesky factor ``lower`` of a (as returned by cholesky).
+
+    The leading block of the factor factors the leading block of a, so one
+    factorization serves every leading sub-system; w equal to the size of a
+    solves the whole system.
+    """
+    b_arr = np.asarray(b, dtype=np.float64)
+    w = b_arr.shape[0]
+    if w > lower.shape[0]:
+        raise DimensionMismatch(
+            f"rhs has {w} rows, factor is {lower.shape[0]}x{lower.shape[1]}"
+        )
+    if w == 0:
         return b_arr.copy()
-    x, info = lapack.dpotrs(lower, b_arr, lower=1)
+    x, info = lapack.dpotrs(lower[:w, :w], b_arr, lower=1)
     if info:
         raise SingularMatrix(f"LAPACK dpotrs failed (info={info})")
     return x
@@ -112,8 +133,8 @@ def solve_general(a, b):
     if info:
         # info > 0: an exactly zero pivot in U
         raise SingularMatrix(f"LAPACK dgetrf failed (info={info}); system is rank deficient")
-    u_diag = np.abs(np.diag(lu))
-    if np.min(u_diag) <= PIVOT_RTOL * float(np.max(u_diag)):
+    u_diag = np.abs(lu.diagonal())
+    if u_diag.min() <= PIVOT_RTOL * u_diag.max():
         raise SingularMatrix("LU pivot below tolerance; system is rank deficient")
     x, info = lapack.dgetrs(lu, piv, b_arr)
     if info:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hetstream as hs
-from hetstream import linalg
+from hetstream import io
 from hetstream.engine import GRAM_SQUARED, PAPER_LINEAR
 from hetstream.errors import (
     InsufficientData,
@@ -634,3 +634,119 @@ class TestSecondUpdate:
         )
         with pytest.raises(PhaseMismatch):
             state.begin_second_update(stats)
+
+
+class TestFactorReuse:
+    """The newest segment's Cholesky factor serves its maps' leading-block
+    fits and its own fit; frozen segments keep their factors across
+    batches. These pin the edges of that sharing."""
+
+    P, Q, R = 2, 1, 2
+
+    def _batch(self, rng, n, groups):
+        p, q = self.P, self.Q
+        x = rng.standard_normal((n, p))
+        z = x @ np.array([[0.5], [-0.3]]) + rng.standard_normal((n, q))
+        w1 = x @ np.array([0.2, 0.1]) + 0.4 * z[:, 0] + rng.standard_normal(n)
+        y = x @ np.array([1.0, -1.0]) + 2.0 * z[:, 0] + 0.5 * w1 + rng.normal(size=n)
+        if groups == 1:
+            return hs.compress_batch(x, y, hs.StreamSchema(p))
+        if groups == 2:
+            return hs.compress_batch(x, y, hs.StreamSchema(p, q), z_rows=z)
+        # two identical w columns: the (x, z, w) Gram is singular
+        w = np.column_stack([w1, w1])
+        return hs.compress_batch(x, y, hs.StreamSchema(p, q, self.R), z_rows=z, w_rows=w)
+
+    def test_singular_newest_gram_still_fits_its_maps(self):
+        # the full factor fails the pivot rule, so C and D fall back to
+        # factoring their own leading blocks, which are well conditioned
+        rng = np.random.default_rng(140)
+        p, q, r = self.P, self.Q, self.R
+        state = hs.new_stream(hs.StreamSchema(p))
+        state.ingest_pre_change(self._batch(rng, 30, 1))
+        state.begin_update_phase(self._batch(rng, 30, 2))
+        state.ingest_post_change(self._batch(rng, 30, 2))
+        two = [self._batch(rng, 25, 3) for _ in range(3)]
+        with pytest.raises(SingularMatrix, match="rank deficient"):
+            state.begin_second_update(two[0])
+        state.begin_second_update(
+            two[0], sigma0_sq=1.0, gamma0=np.zeros(r), theta0=np.zeros(q),
+            e0_ww=np.eye(r), e0_zz=np.eye(q),
+        )
+        for stats in two[1:]:
+            state.ingest_post_change(stats)
+        gram = sum(stats.full_gram() for stats in two)
+        maps = state.current_maps()
+        w_cols = slice(p + q, p + q + r)
+        np.testing.assert_allclose(
+            maps.c_hat, np.linalg.solve(gram[:p, :p], gram[:p, w_cols]), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            maps.d_hat, np.linalg.solve(gram[: p + q, : p + q], gram[: p + q, w_cols]),
+            rtol=1e-12,
+        )
+        with pytest.raises(SingularMatrix):
+            state.naive_theta()
+        # the gamma block of the bordered system is singular too
+        with pytest.raises(SingularMatrix):
+            state.estimate()
+        assert np.isfinite(state.update_sse()) and state.update_sse() > 0.0
+
+    def test_rank_deficient_pre_design_raises(self):
+        rng = np.random.default_rng(141)
+        x = rng.standard_normal((20, 1))
+        x = np.hstack([x, 2.0 * x])
+        y = x[:, 0] + rng.normal(size=20)
+        state = hs.new_stream(P2)
+        state.ingest_pre_change(hs.compress_batch(x, y, P2))
+        with pytest.raises(SingularMatrix):
+            state.estimate()
+        with pytest.raises(SingularMatrix):
+            _ = state.eta_tilde
+        # the residual sum falls back to a least-squares solve
+        resid = y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+        assert state.update_sse() == pytest.approx(resid @ resid, rel=1e-9)
+
+    def test_reload_mid_phase_two_matches_warm_state(self, tmp_path):
+        # the warm state keeps the frozen segments' factors and fits from
+        # earlier batches; a reloaded state starts with no cache at all
+        rng = np.random.default_rng(142)
+        p, q, r = self.P, self.Q, 1
+        dim = p + q + r
+        warm = hs.new_stream(hs.StreamSchema(p))
+
+        def rows(n):
+            a = rng.standard_normal((n, dim)) @ np.linalg.cholesky(ar1_cov(dim)).T
+            y = a @ np.linspace(1.0, -1.0, dim) + rng.normal(size=n)
+            return a[:, :p], a[:, p : p + q], a[:, p + q :], y
+
+        def answers(state):
+            report = state.estimate()
+            maps = state.current_maps()
+            return [
+                report.coefficients, report.theta_naive, report.cov_plugin,
+                state.update_sse(), maps.b_hat, maps.c_hat, maps.d_hat,
+            ]
+
+        for j in range(1, 13):
+            x, z, w, y = rows(20)
+            if j <= 3:
+                warm.ingest_pre_change(hs.compress_batch(x, y, hs.StreamSchema(p)))
+            elif j <= 7:
+                stats = hs.compress_batch(x, y, hs.StreamSchema(p, q), z_rows=z)
+                if j == 4:
+                    warm.begin_update_phase(stats)
+                else:
+                    warm.ingest_post_change(stats)
+            else:
+                stats = hs.compress_batch(x, y, hs.StreamSchema(p, q, r), z_rows=z, w_rows=w)
+                if j == 8:
+                    warm.begin_second_update(stats)
+                else:
+                    warm.ingest_post_change(stats)
+            warm.estimate()
+        assert warm.phase is hs.Phase.TWO
+        io.save_state(warm, tmp_path / "state.npz")
+        cold = io.load_state(tmp_path / "state.npz")
+        for got, expected in zip(answers(cold), answers(warm)):
+            np.testing.assert_array_equal(got, expected)

@@ -92,6 +92,41 @@ class TestCholesky:
             assert err <= 1e-10
 
 
+class TestSolveCholesky:
+    def test_leading_blocks_of_one_factor(self):
+        # one factor of a serves a's leading sub-systems, as factoring each
+        # leading block alone does
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((12, 6))
+        a = g.T @ g
+        lower = linalg.cholesky(a)
+        for w in range(7):
+            b = rng.standard_normal((w, 2))
+            np.testing.assert_allclose(
+                linalg.solve_cholesky(lower, b),
+                np.linalg.solve(a[:w, :w], b) if w else b,
+                rtol=1e-10,
+                atol=1e-12,
+            )
+        np.testing.assert_allclose(
+            linalg.solve_cholesky(lower, a[:, 0]), np.eye(6)[0], atol=1e-12
+        )
+
+    def test_leaves_factor_and_rhs_untouched(self):
+        a = ar1_cov(4)
+        lower = linalg.cholesky(a)
+        kept = lower.copy()
+        b = np.ones((2, 3))
+        linalg.solve_cholesky(lower, b)
+        linalg.solve_cholesky(lower, np.ones(4))
+        np.testing.assert_array_equal(lower, kept)
+        np.testing.assert_array_equal(b, 1.0)
+
+    def test_rhs_longer_than_factor(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.solve_cholesky(np.eye(2), np.ones(3))
+
+
 class TestQuadForm:
     def test_identity(self):
         assert linalg.quad_form(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)

@@ -1,12 +1,14 @@
 """The state's cache of derived quantities: coherence and solve counts.
 
-Queries read the maps, the bordered system and its solution from a cache
-that every mutator clears. A stream queried after every batch must
-therefore give bit-identical answers to the same stream queried only at the
-end, or saved and reloaded mid-phase, and writing into a returned array
-must not leak into later queries. The solve-count guard pins how many
-factorizations each operation costs, so a refactor that drops the cache
-fails here without a benchmark run.
+Queries read the maps, the bordered system and its solution from a
+per-batch cache that every mutator clears, and each segment's Gram, factor
+and own fit from a per-segment cache that only a merge into that segment
+clears. A stream queried after every batch must therefore give
+bit-identical answers to the same stream queried only at the end, or saved
+and reloaded mid-phase, and writing into a returned array must not leak
+into later queries. The solve-count guard pins how many factorizations
+each operation costs, so a refactor that drops either cache or stops
+sharing a factor fails here without a benchmark run.
 """
 
 import collections
@@ -148,41 +150,54 @@ def test_writing_into_answers_does_not_leak():
 
 
 def test_solve_counts(monkeypatch):
-    """Factorizations per operation on an Example-4 stream queried as the
-    monitor workload queries it: estimate and SSE after every batch, then
-    the F-test in phase ONE."""
-    calls = collections.Counter()
-    for name in ("solve_spd", "solve_general"):
+    """Factorizations (Cholesky and LU) per operation on an Example-4
+    stream queried as the monitor workload queries it: estimate and SSE
+    after every batch, then the F-test in phase ONE. A solve with a kept
+    factor (linalg.solve_cholesky) is not a factorization, so factor reuse
+    shows here; an event counts its whole step, queries included. No step
+    after the first event factors an earlier, frozen segment's Gram again."""
+    factored = []
+    for name in ("cholesky", "solve_general"):
         original = getattr(linalg, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls["solves"] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, **kwargs):
+            factored.append(np.array(a, dtype=np.float64))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg, name, counted)
 
-    def solves(call, *args):
-        calls.clear()
+    def factorizations(call, *args):
+        start = len(factored)
         call(*args)
-        return calls["solves"]
+        return len(factored) - start
 
     state = hs.new_stream(hs.StreamSchema(CFG.p))
     seen = collections.defaultdict(set)
     for j, stats in enumerate(batches(), start=1):
-        if j in (FIRST_EVENT, SECOND_EVENT):
-            feed(state, j, stats, {})
-        else:
-            seen[f"ingest {state.phase.name}"].add(solves(feed, state, j, stats, {}))
-        seen[f"estimate {state.phase.name}"].add(solves(state.estimate))
-        seen["update_sse"].add(solves(state.update_sse))
+        factored.clear()
+        ingest = factorizations(feed, state, j, stats, {})
+        phase = state.phase.name
+        seen[f"estimate {phase}"].add(factorizations(state.estimate))
+        seen["update_sse"].add(factorizations(state.update_sse))
         if state.phase is hs.Phase.ONE:
-            seen["test"].add(solves(hs.test_theta_zero, state))
+            seen["test"].add(factorizations(hs.test_theta_zero, state))
+        if j in (FIRST_EVENT, SECOND_EVENT):
+            seen[f"event {phase}"].add(len(factored))
+        else:
+            seen[f"ingest {phase}"].add(ingest)
+        for seg in state._segments[:-1]:
+            frozen = seg.full_gram()
+            assert not any(
+                a.shape == frozen.shape and np.array_equal(a, frozen) for a in factored
+            ), f"batch {j} factored a frozen segment's Gram again"
 
     assert seen["ingest PRE"] == {1}
     assert seen["ingest ONE"] == {2}
-    assert seen["ingest TWO"] == {4}
-    assert max(seen["estimate PRE"]) <= 3
-    assert max(seen["estimate ONE"]) <= 4
-    assert max(seen["estimate TWO"]) <= 5
+    assert seen["ingest TWO"] == {3}
+    assert max(seen["estimate PRE"]) <= 1
+    assert max(seen["estimate ONE"]) <= 2
+    assert max(seen["estimate TWO"]) <= 2
     assert max(seen["test"]) <= 1
     assert seen["update_sse"] == {0}
+    assert max(seen["event ONE"]) <= 7
+    assert max(seen["event TWO"]) <= 8
