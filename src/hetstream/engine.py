@@ -1,24 +1,26 @@
 """Streaming regression engine for covariate sets that expand mid-stream.
 
-The engine ingests compressed batch statistics and maintains weighted
-cumulative cross-product matrices, a running residual sum of squares and the
+The engine ingests compressed batch statistics into per-segment cross
+products, from which it derives the weighted cumulative matrices, the
 homogenization maps that let pre-change data inform the post-change
-parameters. Its state is a fixed number of small matrices; raw data never
-need to be retained.
+parameters, and the residual sum of squares. Its state is a fixed number of
+small matrices; raw data never need to be retained.
 
-Queries solve on read, and what they derive from the state is cached with
-one of two lifetimes, so each Gram matrix is factored once for as long as
-it lives. Only the newest segment ever changes: a batch merges into it and
-an event appends a new one. So each segment's stacked Gram matrix and
-moment, its Cholesky factor and its own least-squares fit are kept per
-segment, and a merge drops only the merged segment's entries; frozen
-segments keep theirs across batches. What depends on the weights or on the
-newest segment (the row weights themselves, the pooled Grams, the refined
-maps, the homogenizing embeddings, the bordered system and its solution) is
-kept per batch and cleared by every mutator. The newest segment's factor serves the maps of
+Ingesting only merges: queries, the residual sum included, solve on read,
+and what they derive from the state is cached with one of two lifetimes, so
+each Gram matrix is factored once for as long as it lives. Only the newest
+segment ever changes: a batch merges into it and an event appends a new
+one. So each segment's stacked Gram matrix and moment, its Cholesky factor
+and its own least-squares fit are kept per segment, and a merge drops only
+the merged segment's entries; frozen segments keep theirs across batches.
+What depends on the weights or on the newest segment (the row weights
+themselves, the pooled Grams, the refined maps, the homogenizing
+embeddings, the bordered system and its solution) is kept per batch and
+cleared by every mutator. The newest segment's factor serves the maps of
 the group it revealed (their leading-block fits), its own fit and, in
 Phase.PRE, where the bordered system is segment 0's Gram, the estimate and
-the residual sum. Neither cache is persisted.
+the residual sum; an event batch's factor serves its maps, the initial
+weight choices and the segment it opens. Neither cache is persisted.
 
 Phases
 ------
@@ -265,6 +267,14 @@ def _by_group(maps: HomogenizationMap) -> list[list[np.ndarray | None]]:
     return [[maps.b_hat], [maps.c_hat, maps.d_hat]]
 
 
+def _cholesky_or_none(gram: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of a Gram matrix; None when it fails the pivot rule."""
+    try:
+        return linalg.cholesky(gram)
+    except NotPositiveDefinite:
+        return None
+
+
 def _fit_maps(gram: np.ndarray, widths, group: slice, lower=None) -> list[np.ndarray]:
     """Least-squares projections of the columns ``group`` of a Gram matrix
     onto its leading ``width`` columns, one per width. ``lower``, a
@@ -275,11 +285,12 @@ def _fit_maps(gram: np.ndarray, widths, group: slice, lower=None) -> list[np.nda
     return [linalg.solve_cholesky(lower, gram[:w, group]) for w in widths]
 
 
-def _initial_choices(stats: BatchStats, **overrides) -> tuple[dict, str]:
+def _initial_choices(stats: BatchStats, lower: np.ndarray | None, **overrides) -> tuple[dict, str]:
     """Initial choices of a weight spec, each taken from its override when
     given, else from one fit of y on every group the event batch observes:
     the residual variance (sigma0_sq), each added group's coefficients
-    (theta0, gamma0) and second moment (e0_zz, e0_ww)."""
+    (theta0, gamma0) and second moment (e0_zz, e0_ww). ``lower`` factors the
+    batch's Gram matrix (None: it failed the pivot rule)."""
     if all(v is not None for v in overrides.values()):
         overrides["sigma0_sq"] = float(overrides["sigma0_sq"])
         return overrides, NON_RANDOM
@@ -291,14 +302,13 @@ def _initial_choices(stats: BatchStats, **overrides) -> tuple[dict, str]:
             f"observations in the event batch (got n={stats.n}); "
             f"supply non-random overrides to lift the requirement"
         )
-    moment = stats.full_moment()
-    try:
-        eta = linalg.solve_spd(stats.full_gram(), moment)
-    except SingularMatrix as exc:
+    if lower is None:
         raise SingularMatrix(
             "the event batch design is rank deficient; cannot estimate the "
             "initial weight choices"
-        ) from exc
+        )
+    moment = stats.full_moment()
+    eta = linalg.solve_cholesky(lower, moment)
     sigma_sq = (stats.yty - float(moment @ eta)) / (stats.n - dim)
     if sigma_sq <= _VARIANCE_FLOOR_RTOL * max(stats.yty / stats.n, 1.0):
         warnings.warn(
@@ -356,8 +366,6 @@ class AccumulatorState:
         self._segments: list[BatchStats] = [BatchStats.zeros(schema.p)]
         self._b_forced = False   # projection supplied/forced: never refine it
         self._cd_forced = False
-        self._sse = 0.0
-        self._q_prev = 0.0
         # derived quantities, never persisted: per batch (see _derived),
         # cleared by every mutator, and per segment (see _per_segment),
         # segment index -> entries, dropped when that segment is merged into
@@ -435,7 +443,6 @@ class AccumulatorState:
         if stats.p != self.schema.p:
             raise DimensionMismatch(f"batch has p={stats.p}, schema has p={self.schema.p}")
         self._merge_into(0, stats)
-        self._sse_step(stats.yty)
         return self
 
     def begin_update_phase(
@@ -466,6 +473,8 @@ class AccumulatorState:
         if self.schema.q and self.schema.q != q:
             raise DimensionMismatch(f"batch has q={q}, schema declares q={self.schema.q}")
         self.schema = self.schema.with_q(q)
+        gram = first_post_stats.full_gram()
+        lower = _cholesky_or_none(gram)
 
         if assume_uncorrelated:
             b = np.zeros((p, q))
@@ -477,7 +486,7 @@ class AccumulatorState:
             self._b_forced = True
         else:
             try:
-                (b,) = _fit_maps(first_post_stats.full_gram(), (p,), slice(p, p + q))
+                (b,) = _fit_maps(gram, (p,), slice(p, p + q), lower)
             except SingularMatrix as exc:
                 raise SingularMatrix(
                     f"first post-change batch cannot identify the projection of z on x; "
@@ -487,17 +496,14 @@ class AccumulatorState:
         case = CASE_UNCORRELATED if not np.any(b) else CASE_CORRELATED
 
         choices, provenance = _initial_choices(
-            first_post_stats, sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz
+            first_post_stats, lower, sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz
         )
         self.weights = WeightSpec(**choices, convention=self.convention, provenance=provenance)
         self.homog = HomogenizationMap(b, estimated_on=self.batch_count + 1)
         self.case_label = case
         self.k_index = self.batch_count
         self.phase = Phase.ONE
-        self._segments.append(BatchStats.zeros(p, q))
-        self._cache.clear()
-        self._sse_rebase()
-        return self.ingest_post_change(first_post_stats)
+        return self._open_segment(first_post_stats, gram, lower)
 
     def ingest_post_change(self, stats: BatchStats) -> "AccumulatorState":
         """Weighted accumulation of a batch carrying the current phase's groups."""
@@ -515,8 +521,6 @@ class AccumulatorState:
                 f"schema (p={sch.p}, q={sch.q}, r={sch.r})"
             )
         self._merge_into(len(self._segments) - 1, stats)
-        w_last = self.row_weights()[-1]
-        self._sse_step(w_last * w_last * stats.yty)
         return self
 
     def begin_second_update(
@@ -547,6 +551,8 @@ class AccumulatorState:
         if self.schema.r and self.schema.r != r:
             raise DimensionMismatch(f"batch has r={r}, schema declares r={self.schema.r}")
         self.schema = self.schema.with_r(r)
+        gram = first_post_stats.full_gram()
+        lower = _cholesky_or_none(gram)
 
         if assume_uncorrelated is None:
             assume_uncorrelated = self.case_label == CASE_UNCORRELATED
@@ -556,9 +562,7 @@ class AccumulatorState:
             self._cd_forced = True
         else:
             try:
-                c, d = _fit_maps(
-                    first_post_stats.full_gram(), (p, p + q), slice(p + q, p + q + r)
-                )
+                c, d = _fit_maps(gram, (p, p + q), slice(p + q, p + q + r), lower)
             except SingularMatrix as exc:
                 raise SingularMatrix(
                     f"second event batch cannot identify the projections of w; it "
@@ -567,7 +571,7 @@ class AccumulatorState:
                 ) from exc
 
         choices, provenance = _initial_choices(
-            first_post_stats, sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0,
+            first_post_stats, lower, sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0,
             e0_ww=e0_ww, e0_zz=e0_zz,
         )
         self.weights2 = SecondWeightSpec(**choices, provenance=provenance)
@@ -576,10 +580,18 @@ class AccumulatorState:
         )
         self.m_index = self.batch_count
         self.phase = Phase.TWO
-        self._segments.append(BatchStats.zeros(p, q, r))
-        self._cache.clear()
-        self._sse_rebase()
-        return self.ingest_post_change(first_post_stats)
+        return self._open_segment(first_post_stats, gram, lower)
+
+    def _open_segment(self, stats: BatchStats, gram: np.ndarray, lower) -> "AccumulatorState":
+        """Ingest an event batch into a new segment, which then holds exactly
+        the batch's sums: its Gram matrix and factor are the segment's own."""
+        self._segments.append(BatchStats.zeros(stats.p, stats.q, stats.r))
+        self.ingest_post_change(stats)
+        self._segment_cache[len(self._segments) - 1] = {
+            "_full": (gram, stats.full_moment()),
+            "_factor": lower,
+        }
+        return self
 
     def _merge_into(self, s: int, stats: BatchStats) -> None:
         self._segments[s] = merge(self._segments[s], stats)
@@ -608,10 +620,7 @@ class AccumulatorState:
     def _factor(self, s: int) -> np.ndarray | None:
         """Cholesky factor of segment s's Gram matrix; None when it fails
         the pivot rule."""
-        try:
-            return linalg.cholesky(self._full(s)[0])
-        except NotPositiveDefinite:
-            return None
+        return _cholesky_or_none(self._full(s)[0])
 
     @_derived
     def _pooled_gram(self, first: int) -> np.ndarray:
@@ -695,6 +704,7 @@ class AccumulatorState:
             for s in range(k)
         ]
 
+    @_derived
     def _sse_quadratic(self) -> float:
         """Fitted part of the weighted response norm, from the Gram matrix
         and moment vector of the weighted homogenized covariate rows. Always
@@ -717,23 +727,6 @@ class AccumulatorState:
         if eta is None:
             eta = linalg.solve_consistent(gram, moment)
         return float(moment @ eta)
-
-    def _sse_step(self, wyy_add: float) -> None:
-        # Two-term update: previous quadratic term comes back, the refreshed
-        # one leaves; per-batch residual terms always sum to the weighted
-        # response norm of the batch.
-        q_new = self._sse_quadratic()
-        self._sse += wyy_add + self._q_prev - q_new
-        self._q_prev = q_new
-
-    def _sse_rebase(self) -> None:
-        # Weights and homogenization maps changed: re-derive the running
-        # residual sum for the frozen segments under the new regime. No
-        # quadratic term is solved here: the ingest that follows every
-        # rebase adds q_prev back and subtracts the refreshed term, so
-        # wyy with q_prev = 0 gives the same sum as wyy - q with q_prev = q.
-        self._sse = self.wyy
-        self._q_prev = 0.0
 
     # ------------------------------------------------------------------
     # queries
@@ -797,8 +790,10 @@ class AccumulatorState:
         return eta[p : p + q].copy()
 
     def update_sse(self) -> float:
-        """Running residual sum of squares of the weighted homogenized fit."""
-        return max(self._sse, 0.0)
+        """Residual sum of squares of the weighted homogenized fit: the
+        weighted response norm less its fitted part, both read from the
+        per-segment sums."""
+        return max(self.wyy - self._sse_quadratic(), 0.0)
 
     @_per_segment
     def _segment_fit(self, index: int) -> np.ndarray | None:

@@ -2,8 +2,8 @@
 
 The test statistic reads everything from the accumulator: its numerator is a
 quadratic form of the current theta estimate in the Schur-complement factor
-of the bordered system, its denominator the running residual sum of squares
-over its degrees of freedom. The denominator df is N - q by construction;
+of the bordered system, its denominator the residual sum of squares over its
+degrees of freedom. The denominator df is N - q by construction;
 the classical N - p - q is available behind a flag for sensitivity checks
 only.
 """
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import linalg
 from .engine import AccumulatorState, Phase
@@ -49,6 +48,10 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
         return 0.0
     if math.isinf(x):
         return 1.0
+    # imported here, not at module level: it costs several MB of resident
+    # memory in every process that imports hetstream
+    import scipy.special
+
     t = d1 * x / (d1 * x + d2)
     return float(scipy.special.betainc(d1 / 2.0, d2 / 2.0, t))
 
@@ -58,6 +61,8 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
     d1, d2 = _check_degrees(d1, d2)
     if not 0.0 < p < 1.0:
         raise InvalidDegrees(f"quantile level must lie strictly in (0, 1), got {p}")
+    import scipy.special
+
     t = float(scipy.special.betaincinv(d1 / 2.0, d2 / 2.0, p))
     if t >= 1.0:
         return math.inf

@@ -62,7 +62,6 @@ def save_state(state: AccumulatorState, path) -> None:
         "homog": None,
     }
     arrays: dict[str, np.ndarray] = {
-        "scalars": np.array([state._sse, state._q_prev], dtype=np.float64),
         "seg_yty": np.array([seg.yty for seg in state._segments], dtype=np.float64),
     }
     for i, seg in enumerate(state._segments):
@@ -102,7 +101,9 @@ def load_state(path) -> AccumulatorState:
     """Rebuild an accumulator from a snapshot written by save_state.
 
     A file that is not a readable snapshot (truncated or not an archive, a
-    missing entry, malformed metadata) raises HetstreamError.
+    missing entry, malformed metadata) raises HetstreamError. Older v1
+    snapshots also carry a ``scalars`` entry, a running residual sum that
+    the state computes on read instead; it is ignored.
     """
     try:
         with np.load(path) as data:
@@ -129,7 +130,6 @@ def _state_from_snapshot(data) -> AccumulatorState:
     state.k_index = meta["k_index"]
     state.m_index = meta["m_index"]
     state.batch_count = meta["batch_count"]
-    state._sse, state._q_prev = (float(v) for v in data["scalars"])
     segments = []
     for i, seg_meta in enumerate(meta["segments"]):
         blocks = {

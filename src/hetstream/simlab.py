@@ -134,13 +134,23 @@ def gen_stream(config: SimConfig, replicate_index: int) -> list[RawBatch]:
         if config.sigma_sq > 0:
             y = y + rng.normal(scale=np.sqrt(config.sigma_sq), size=config.n)
         if j <= config.k:
-            batches.append(RawBatch(x=rows[:, :p], y=y))
+            width = p
         elif second_event is None or j <= second_event:
-            batches.append(RawBatch(x=rows[:, :p], y=y, z=rows[:, p : p + q]))
+            width = p + q
         else:
-            batches.append(
-                RawBatch(x=rows[:, :p], y=y, z=rows[:, p : p + q], w=rows[:, p + q :])
+            width = p + q + r
+        # a view of the observed columns would keep the unobserved draws
+        # alive with the batch; ascontiguousarray copies only when some
+        # columns are dropped
+        seen = np.ascontiguousarray(rows[:, :width])
+        batches.append(
+            RawBatch(
+                x=seen[:, :p],
+                y=y,
+                z=seen[:, p : p + q] if width > p else None,
+                w=seen[:, p + q :] if width > p + q else None,
             )
+        )
     return batches
 
 

@@ -1,5 +1,7 @@
 """F-distribution functions and the added-covariate test."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -214,3 +216,25 @@ class TestNullDistribution:
             state = _phase1_state(rng, theta_scale=0.0, n=80, batches=5, uncorrelated=True)
             fs.append(hs.f_statistic(state).f_value)
         assert 0.8 <= np.mean(fs) <= 1.25
+
+
+def test_scipy_special_is_imported_on_first_use():
+    # importing the package and its CLI skips scipy.special (several MB of
+    # resident memory); the first F-distribution call loads it
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import hetstream, hetstream.cli",
+        "assert 'scipy.special' not in sys.modules",
+        "rng = np.random.default_rng(0)",
+        "x, z = rng.standard_normal((40, 2)), rng.standard_normal((40, 1))",
+        "y = x @ [1.0, -1.0] + z[:, 0] + rng.standard_normal(40)",
+        "state = hetstream.new_stream(hetstream.StreamSchema(2))",
+        "state.ingest_pre_change(hetstream.compress_batch(x, y, hetstream.StreamSchema(2)))",
+        "schema = hetstream.StreamSchema(2, 1)",
+        "state.begin_update_phase(hetstream.compress_batch(x, y, schema, z_rows=z))",
+        "hetstream.test_theta_zero(state)",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -134,6 +134,37 @@ def test_snapshot_round_trip_mid_phase(option, tmp_path):
         assert_identical(reloaded[j], every[j])
 
 
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_event_factor_serves_the_new_segment(option, tmp_path):
+    """An event keeps its batch's Gram and factor as the entries of the
+    segment the batch opens; a state reloaded right after each event
+    computes them anew and must answer bit-identically."""
+    every = run(option)
+    reloaded = run(option, reload_at=(FIRST_EVENT, SECOND_EVENT), tmp_path=tmp_path)
+    for j in every:
+        assert_identical(reloaded[j], every[j])
+
+
+@pytest.mark.parametrize("last", CHECKPOINTS)
+def test_snapshot_with_running_sum_loads(last, tmp_path):
+    """Older v1 snapshots also carry the running residual sum as a
+    ``scalars`` entry; loading one ignores it and answers as the warm state
+    does."""
+    state = hs.new_stream(hs.StreamSchema(CFG.p))
+    for j, stats in enumerate(batches()[:last], start=1):
+        feed(state, j, stats, {})
+    path = tmp_path / "state.npz"
+    io.save_state(state, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    assert "scalars" not in arrays
+    arrays["scalars"] = np.array([state.update_sse() + 1.0, 1.0])
+    np.savez(path, **arrays)
+    restored = io.load_state(path)
+    assert restored.update_sse() == state.update_sse()
+    assert_identical(queries(restored), queries(state))
+
+
 def test_writing_into_answers_does_not_leak():
     state = hs.new_stream(hs.StreamSchema(CFG.p))
     for j, stats in enumerate(batches()[:FIRST_EVENT + 3], start=1):
@@ -154,7 +185,9 @@ def test_solve_counts(monkeypatch):
     stream queried as the monitor workload queries it: estimate and SSE
     after every batch, then the F-test in phase ONE. A solve with a kept
     factor (linalg.solve_cholesky) is not a factorization, so factor reuse
-    shows here; an event counts its whole step, queries included. No step
+    shows here; an event counts its whole step, queries included. An ingest
+    only merges, so its work shows in the queries; the bound on each whole
+    step keeps work that moved between them from hiding added work. No step
     after the first event factors an earlier, frozen segment's Gram again."""
     factored = []
     for name in ("cholesky", "solve_general"):
@@ -185,19 +218,21 @@ def test_solve_counts(monkeypatch):
             seen[f"event {phase}"].add(len(factored))
         else:
             seen[f"ingest {phase}"].add(ingest)
+            seen[f"step {phase}"].add(len(factored))
         for seg in state._segments[:-1]:
             frozen = seg.full_gram()
             assert not any(
                 a.shape == frozen.shape and np.array_equal(a, frozen) for a in factored
             ), f"batch {j} factored a frozen segment's Gram again"
 
-    assert seen["ingest PRE"] == {1}
-    assert seen["ingest ONE"] == {2}
-    assert seen["ingest TWO"] == {3}
-    assert max(seen["estimate PRE"]) <= 1
-    assert max(seen["estimate ONE"]) <= 2
-    assert max(seen["estimate TWO"]) <= 2
+    assert seen["ingest PRE"] == seen["ingest ONE"] == seen["ingest TWO"] == {0}
+    assert max(seen["estimate PRE"]) <= 2
+    assert max(seen["estimate ONE"]) <= 3
+    assert max(seen["estimate TWO"]) <= 4
     assert max(seen["test"]) <= 1
-    assert seen["update_sse"] == {0}
-    assert max(seen["event ONE"]) <= 7
-    assert max(seen["event TWO"]) <= 8
+    assert max(seen["update_sse"]) <= 1
+    assert max(seen["step PRE"]) <= 2
+    assert max(seen["step ONE"]) <= 5
+    assert max(seen["step TWO"]) <= 5
+    assert max(seen["event ONE"]) <= 5
+    assert max(seen["event TWO"]) <= 5

@@ -73,6 +73,18 @@ class TestGenStream:
         assert stream4[20].w is None        # last middle batch (index 20 = batch 21)
         assert stream4[21].w is not None    # second event at batch 22
 
+    def test_batches_keep_only_observed_columns(self):
+        # every array of a batch lives in a buffer of exactly the columns the
+        # batch exposes, so no unobserved draw stays alive with it
+        cfg = example4_config(n=20, replications=1)
+        for batch in gen_stream(cfg, 0):
+            arrays = [a for a in (batch.x, batch.z, batch.w) if a is not None]
+            width = sum(a.shape[1] for a in arrays)
+            for a in arrays:
+                while a.base is not None:
+                    a = a.base
+                assert a.nbytes == cfg.n * width * 8
+
     def test_empirical_covariance(self):
         cfg = _tiny_config(n=100_000, j_max=3, k=1, corr_case="correlated")
         stream = gen_stream(cfg, 0)
