@@ -61,7 +61,7 @@ class NueState:
         Full (x, z) fit against the x-only fit on the pooled current segment;
         denominator df n - p - q. Defined once the segment carries z.
         """
-        from .inference import TestReport, f_cdf, f_quantile
+        from .inference import _f_report
 
         acc = self._acc
         q = acc.q
@@ -76,22 +76,7 @@ class NueState:
         rss_full = max(acc.yty - float(moment @ eta), 0.0)
         beta_x = linalg.solve_spd(acc.xtx, acc.xty)
         rss_reduced = max(acc.yty - float(acc.xty @ beta_x), 0.0)
-        if rss_full <= 1e-10 * max(acc.yty, 1.0):
-            f_value = np.inf if rss_reduced > rss_full else 0.0
-            degenerate = True
-        else:
-            f_value = max(rss_reduced - rss_full, 0.0) / q / (rss_full / df2)
-            degenerate = False
-        return TestReport(
-            f_value=float(f_value),
-            df1=q,
-            df2=df2,
-            p_value=1.0 - f_cdf(float(f_value), q, df2),
-            alpha=alpha,
-            reject=bool(f_value > f_quantile(1.0 - alpha, q, df2)),
-            case_label=None,
-            degenerate=degenerate,
-        )
+        return _f_report(rss_reduced - rss_full, rss_full, acc.yty, q, df2, alpha, None)
 
 
 class AveState:

@@ -22,6 +22,10 @@ Phase.PRE, where the bordered system is segment 0's Gram, the estimate and
 the residual sum; an event batch's factor serves its maps, the initial
 weight choices and the segment it opens. Neither cache is persisted.
 
+The plug-in covariance is a by-product no other answer needs, so estimate()
+leaves it to its report, which computes it on first read from a frozen
+view of the state (see _frozen_view) that shares both caches.
+
 Phases
 ------
 Phase.PRE   only x observed; plain least squares on x.
@@ -41,6 +45,7 @@ fidelity experiments; the residual-sum machinery is convention independent.
 
 from __future__ import annotations
 
+import copy
 import functools
 import warnings
 from dataclasses import dataclass
@@ -194,15 +199,42 @@ class HomogenizationMap:
             object.__setattr__(self, "d_hat", np.asarray(self.d_hat, dtype=np.float64))
 
 
+class _OnFirstRead:
+    """Descriptor of a report field given either its value or a function of
+    no arguments that computes it; the function runs on the field's first
+    read, and the report keeps its result in place of the function."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError(self.slot)   # the field has no default
+        value = report.__dict__[self.slot]
+        if callable(value):
+            value = report.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, report, value):
+        report.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class EstimateReport:
-    """Coefficient estimates with plug-in covariance and stream bookkeeping."""
+    """Coefficient estimates with plug-in covariance and stream bookkeeping.
+
+    A report from AccumulatorState.estimate() computes cov_plugin on its
+    first read and then keeps it. It answers for the state as it was when
+    estimate() ran, however far the stream has moved on since, and is None
+    when that state could not estimate the covariance (InsufficientData or
+    SingularMatrix).
+    """
 
     beta: np.ndarray
     theta: np.ndarray | None
     gamma: np.ndarray | None
     theta_naive: np.ndarray | None
-    cov_plugin: np.ndarray | None
+    cov_plugin: np.ndarray | None = _OnFirstRead()
     rho_hat: float
     n_total: int
     m_post: int
@@ -472,18 +504,18 @@ class AccumulatorState:
             raise DimensionMismatch(f"batch has p={first_post_stats.p}, schema has p={p}")
         if self.schema.q and self.schema.q != q:
             raise DimensionMismatch(f"batch has q={q}, schema declares q={self.schema.q}")
-        self.schema = self.schema.with_q(q)
         gram = first_post_stats.full_gram()
         lower = _cholesky_or_none(gram)
 
+        # every step that can fail runs before the state changes, so a
+        # failed event leaves no trace
+        forced = bool(assume_uncorrelated) or b_hat is not None
         if assume_uncorrelated:
             b = np.zeros((p, q))
-            self._b_forced = True
         elif b_hat is not None:
             b = np.asarray(b_hat, dtype=np.float64)
             if b.shape != (p, q):
                 raise DimensionMismatch(f"b_hat has shape {b.shape}, expected ({p}, {q})")
-            self._b_forced = True
         else:
             try:
                 (b,) = _fit_maps(gram, (p,), slice(p, p + q), lower)
@@ -498,7 +530,10 @@ class AccumulatorState:
         choices, provenance = _initial_choices(
             first_post_stats, lower, sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz
         )
-        self.weights = WeightSpec(**choices, convention=self.convention, provenance=provenance)
+        weights = WeightSpec(**choices, convention=self.convention, provenance=provenance)
+        self.schema = self.schema.with_q(q)
+        self._b_forced = forced
+        self.weights = weights
         self.homog = HomogenizationMap(b, estimated_on=self.batch_count + 1)
         self.case_label = case
         self.k_index = self.batch_count
@@ -550,16 +585,16 @@ class AccumulatorState:
             raise DimensionMismatch("second event batch does not match the (p, q) schema")
         if self.schema.r and self.schema.r != r:
             raise DimensionMismatch(f"batch has r={r}, schema declares r={self.schema.r}")
-        self.schema = self.schema.with_r(r)
         gram = first_post_stats.full_gram()
         lower = _cholesky_or_none(gram)
 
+        # as in begin_update_phase, the state changes only once every step
+        # that can fail has succeeded
         if assume_uncorrelated is None:
             assume_uncorrelated = self.case_label == CASE_UNCORRELATED
         if assume_uncorrelated:
             c = np.zeros((p, r))
             d = np.zeros((p + q, r))
-            self._cd_forced = True
         else:
             try:
                 c, d = _fit_maps(gram, (p, p + q), slice(p + q, p + q + r), lower)
@@ -574,7 +609,10 @@ class AccumulatorState:
             first_post_stats, lower, sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0,
             e0_ww=e0_ww, e0_zz=e0_zz,
         )
-        self.weights2 = SecondWeightSpec(**choices, provenance=provenance)
+        weights2 = SecondWeightSpec(**choices, provenance=provenance)
+        self.schema = self.schema.with_r(r)
+        self._cd_forced = bool(assume_uncorrelated)
+        self.weights2 = weights2
         self.homog = HomogenizationMap(
             self.homog.b_hat, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on
         )
@@ -747,7 +785,13 @@ class AccumulatorState:
         return linalg.solve_general(*self._system())
 
     def estimate(self) -> EstimateReport:
-        """Current coefficient estimates with plug-in covariance."""
+        """Current coefficient estimates with plug-in covariance.
+
+        The report's cov_plugin is computed on its first read, from a frozen
+        view of this state, so it answers for the state as it is now, even
+        after later batches; it is None when the covariance cannot be
+        estimated (InsufficientData, SingularMatrix).
+        """
         eta = self._solve_eta().copy()
         p, q = self.schema.p, self.schema.q
         theta = gamma = None
@@ -759,22 +803,39 @@ class AccumulatorState:
             naive = self.naive_theta()
         except (InsufficientData, SingularMatrix, PhaseMismatch):
             naive = None
-        try:
-            cov = self.asymptotic_covariance()
-        except (InsufficientData, SingularMatrix):
-            cov = None
         n = self.n_total
         return EstimateReport(
             beta=eta[:p],
             theta=theta,
             gamma=gamma,
             theta_naive=naive,
-            cov_plugin=cov,
+            cov_plugin=self._frozen_view()._covariance_or_none,
             rho_hat=self.m_post / n if n else 0.0,
             n_total=n,
             m_post=self.m_post,
             case_label=self.case_label,
         )
+
+    def _frozen_view(self) -> "AccumulatorState":
+        """Shallow copy that answers as this state does now, whatever this
+        state ingests later. Mutators rebind attributes, replace or append
+        segments, drop or replace one segment's entry in the per-segment
+        cache and clear the per-batch cache in place; they never write into
+        a BatchStats, a spec or a cached value. So the copy needs only its
+        own segment list, per-batch cache and outer per-segment cache. It
+        keeps the cached values, so a query on it repeats no work done
+        here."""
+        view = copy.copy(self)
+        view._segments = list(self._segments)
+        view._cache = dict(self._cache)
+        view._segment_cache = dict(self._segment_cache)
+        return view
+
+    def _covariance_or_none(self) -> np.ndarray | None:
+        try:
+            return self.asymptotic_covariance()
+        except (InsufficientData, SingularMatrix):
+            return None
 
     def naive_theta(self) -> np.ndarray:
         """Theta block of the plain OLS fit on the newest segment only."""

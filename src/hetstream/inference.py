@@ -125,25 +125,30 @@ def f_statistic(state: AccumulatorState, alpha: float = 0.05, *, denominator_df:
 
     eta = state.eta_tilde
     theta = eta[state.schema.p : state.schema.p + q]
-    factor = numerator_factor(state)
-    numerator = max(float(theta @ factor @ theta), 0.0) / q
-    sse = state.update_sse()
+    hypothesis_ss = float(theta @ numerator_factor(state) @ theta)
+    return _f_report(hypothesis_ss, state.update_sse(), state.wyy, q, df2, alpha, state.case_label)
 
-    degenerate = sse <= _DEGENERATE_SSE_RTOL * max(state.wyy, 1.0)
+
+def _f_report(hypothesis_ss, sse, norm, df1, df2, alpha, case_label) -> TestReport:
+    """F test of df1 restrictions from their sum of squares and the residual
+    sum on df2 degrees of freedom. A residual sum at or below
+    _DEGENERATE_SSE_RTOL of the response norm ``norm`` counts as zero: the
+    statistic is then +inf (0 when the restrictions explain nothing either)
+    and the report is flagged degenerate."""
+    numerator = max(hypothesis_ss, 0.0) / df1
+    degenerate = sse <= _DEGENERATE_SSE_RTOL * max(norm, 1.0)
     if degenerate:
         f_value = math.inf if numerator > 0.0 else 0.0
     else:
         f_value = numerator / (sse / df2)
-    p_value = 1.0 - f_cdf(f_value, q, df2)
-    reject = f_value > f_quantile(1.0 - alpha, q, df2)
     return TestReport(
         f_value=f_value,
-        df1=q,
+        df1=df1,
         df2=df2,
-        p_value=p_value,
+        p_value=1.0 - f_cdf(f_value, df1, df2),
         alpha=alpha,
-        reject=reject,
-        case_label=state.case_label,
+        reject=f_value > f_quantile(1.0 - alpha, df1, df2),
+        case_label=case_label,
         degenerate=degenerate,
     )
 

@@ -16,7 +16,7 @@ import zipfile
 
 import numpy as np
 
-from .batchstats import BatchStats, StreamSchema
+from .batchstats import PHASE_TAGS, BatchStats, StreamSchema
 from .engine import (
     AccumulatorState,
     HomogenizationMap,
@@ -101,7 +101,8 @@ def load_state(path) -> AccumulatorState:
     """Rebuild an accumulator from a snapshot written by save_state.
 
     A file that is not a readable snapshot (truncated or not an archive, a
-    missing entry, malformed metadata) raises HetstreamError. Older v1
+    missing entry, malformed metadata, an array whose shape or presence the
+    schema and phase do not give) raises HetstreamError. Older v1
     snapshots also carry a ``scalars`` entry, a running residual sum that
     the state computes on read instead; it is ignored.
     """
@@ -124,6 +125,11 @@ def _state_from_snapshot(data) -> AccumulatorState:
         refine_maps=meta["refine_maps"],
     )
     state.phase = Phase(meta["phase"])
+    tags = [seg_meta["phase_tag"] for seg_meta in meta["segments"]]
+    if tags != list(PHASE_TAGS[: PHASE_TAGS.index(state.phase.value) + 1]):
+        raise ValueError(f"segment phase tags {tags} do not fit phase {state.phase.name}")
+    if data["seg_yty"].shape != (len(tags),):
+        raise ValueError(f"seg_yty has shape {data['seg_yty'].shape}, expected ({len(tags)},)")
     state.case_label = meta["case_label"]
     state._b_forced = meta["b_forced"]
     state._cd_forced = meta["cd_forced"]
@@ -137,6 +143,13 @@ def _state_from_snapshot(data) -> AccumulatorState:
             for name in _SEG_FIELDS
             if f"seg{i}_{name}" in data
         }
+        # segment i observes the first i + 1 covariate groups of the schema
+        empty = BatchStats.zeros(schema.p, schema.q * (i >= 1), schema.r * (i >= 2))
+        _check_shapes(f"segment {i}", blocks, {
+            name: getattr(empty, name).shape
+            for name in _SEG_FIELDS
+            if getattr(empty, name) is not None
+        })
         segments.append(
             BatchStats(
                 n=seg_meta["n"],
@@ -164,6 +177,11 @@ def _state_from_snapshot(data) -> AccumulatorState:
             provenance=meta["weights2"]["provenance"],
         )
     if meta["homog"] is not None:
+        p, q, r = schema.p, schema.q, schema.r
+        maps = {"h_b": (p, q)}
+        if state.phase is Phase.TWO:
+            maps.update(h_c=(p, r), h_d=(p + q, r))
+        _check_shapes("maps", {name: data[name] for name in ("h_b", "h_c", "h_d") if name in data}, maps)
         state.homog = HomogenizationMap(
             b_hat=data["h_b"],
             c_hat=data["h_c"] if "h_c" in data else None,
@@ -171,6 +189,14 @@ def _state_from_snapshot(data) -> AccumulatorState:
             estimated_on=meta["homog"]["estimated_on"],
         )
     return state
+
+
+def _check_shapes(what: str, entries: dict[str, np.ndarray], expected: dict[str, tuple]) -> None:
+    """A snapshot's arrays of ``what`` must be exactly those that the schema
+    and phase give it, each with the shape they give it."""
+    got = {name: a.shape for name, a in entries.items()}
+    if got != expected:
+        raise ValueError(f"{what} has array shapes {got}, expected {expected}")
 
 
 # ----------------------------------------------------------------------

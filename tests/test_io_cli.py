@@ -1,5 +1,6 @@
 """Snapshot round trips, batch CSV parsing, config files, CLI sessions."""
 
+import json
 import subprocess
 import sys
 
@@ -91,6 +92,40 @@ class TestSnapshot:
         assert restored.phase is hs.Phase.TWO
         assert rel_err(state.estimate().coefficients, restored.estimate().coefficients) <= 1e-12
         np.testing.assert_array_equal(restored.homog.d_hat, state.homog.d_hat)
+
+    TAMPERS = {
+        "grown seg1_ztz": lambda meta, arrays: arrays.update(seg1_ztz=np.zeros((2, 2))),
+        "missing seg2_xtw": lambda meta, arrays: arrays.pop("seg2_xtw"),
+        "extra seg0_xtz": lambda meta, arrays: arrays.update(seg0_xtz=np.zeros((2, 1))),
+        "cut h_d": lambda meta, arrays: arrays.update(h_d=arrays["h_d"][:2]),
+        "cut seg_yty": lambda meta, arrays: arrays.update(seg_yty=arrays["seg_yty"][:2]),
+        "segment tag": lambda meta, arrays: meta["segments"][1].update(phase_tag="xzw"),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_array_shapes_checked_on_load(self, tamper, tmp_path):
+        rng = np.random.default_rng(414)
+        state = _phase1_state(rng)
+        rows = rng.standard_normal((30, 4))
+        y = rows @ np.array([1.0, -1.0, 0.5, 0.25]) + rng.normal(size=30)
+        state.begin_second_update(
+            hs.compress_batch(rows[:, :2], y, hs.StreamSchema(2, 1, 1),
+                              z_rows=rows[:, 2:3], w_rows=rows[:, 3:])
+        )
+        path = tmp_path / "state.npz"
+        hio.save_state(state, path)
+        _tamper(path, self.TAMPERS[tamper])
+        with pytest.raises(hs.HetstreamError, match="not a readable state snapshot"):
+            hio.load_state(path)
+
+
+def _tamper(path, edit):
+    """Rewrite a snapshot after ``edit(meta, arrays)`` changed its entries."""
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]))
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    edit(meta, arrays)
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 class TestBatchCsv:
@@ -366,6 +401,22 @@ class TestCliStreamSession:
             assert proc.returncode == 3
             assert proc.stderr.startswith("error:")
             assert "Traceback" not in proc.stderr
+
+    def test_snapshot_with_a_cut_block_exit_3(self, tmp_path):
+        rng = np.random.default_rng(415)
+        state_path = tmp_path / "s.npz"
+        pre, event = tmp_path / "pre.csv", tmp_path / "event.csv"
+        self._write_batch(rng, pre, n=30)
+        self._write_batch(rng, event, q=3, n=30, theta=(0.5, -0.5, 0.25))
+        assert run_cli("ingest", "--state", str(state_path), "--batch", str(pre)).returncode == 0
+        assert run_cli(
+            "ingest", "--state", str(state_path), "--batch", str(event), "--event", "add-z",
+        ).returncode == 0
+        _tamper(state_path, lambda meta, arrays: arrays.update(seg1_ztz=arrays["seg1_ztz"][:2, :2]))
+        proc = run_cli("estimate", "--state", str(state_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "seg" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_add_w_applies_overrides(self, tmp_path):
         rng = np.random.default_rng(413)

@@ -183,7 +183,8 @@ def test_writing_into_answers_does_not_leak():
 def test_solve_counts(monkeypatch):
     """Factorizations (Cholesky and LU) per operation on an Example-4
     stream queried as the monitor workload queries it: estimate and SSE
-    after every batch, then the F-test in phase ONE. A solve with a kept
+    after every batch, then the F-test in phase ONE. The report's covariance,
+    computed on its first read and then kept, is read after the step. A solve with a kept
     factor (linalg.solve_cholesky) is not a factorization, so factor reuse
     shows here; an event counts its whole step, queries included. An ingest
     only merges, so its work shows in the queries; the bound on each whole
@@ -210,7 +211,8 @@ def test_solve_counts(monkeypatch):
         factored.clear()
         ingest = factorizations(feed, state, j, stats, {})
         phase = state.phase.name
-        seen[f"estimate {phase}"].add(factorizations(state.estimate))
+        reports = []
+        seen[f"estimate {phase}"].add(factorizations(lambda: reports.append(state.estimate())))
         seen["update_sse"].add(factorizations(state.update_sse))
         if state.phase is hs.Phase.ONE:
             seen["test"].add(factorizations(hs.test_theta_zero, state))
@@ -219,6 +221,10 @@ def test_solve_counts(monkeypatch):
         else:
             seen[f"ingest {phase}"].add(ingest)
             seen[f"step {phase}"].add(len(factored))
+        # the monitor workload never reads the covariance, so its cost is
+        # counted apart from the step's
+        seen["first cov_plugin read"].add(factorizations(lambda: reports[0].cov_plugin))
+        seen["second cov_plugin read"].add(factorizations(lambda: reports[0].cov_plugin))
         for seg in state._segments[:-1]:
             frozen = seg.full_gram()
             assert not any(
@@ -226,13 +232,77 @@ def test_solve_counts(monkeypatch):
             ), f"batch {j} factored a frozen segment's Gram again"
 
     assert seen["ingest PRE"] == seen["ingest ONE"] == seen["ingest TWO"] == {0}
-    assert max(seen["estimate PRE"]) <= 2
-    assert max(seen["estimate ONE"]) <= 3
-    assert max(seen["estimate TWO"]) <= 4
+    assert max(seen["estimate PRE"]) <= 1
+    assert max(seen["estimate ONE"]) <= 2
+    assert max(seen["estimate TWO"]) <= 3
     assert max(seen["test"]) <= 1
     assert max(seen["update_sse"]) <= 1
-    assert max(seen["step PRE"]) <= 2
-    assert max(seen["step ONE"]) <= 5
-    assert max(seen["step TWO"]) <= 5
-    assert max(seen["event ONE"]) <= 5
-    assert max(seen["event TWO"]) <= 5
+    assert max(seen["step PRE"]) <= 1
+    assert max(seen["step ONE"]) <= 4
+    assert max(seen["step TWO"]) <= 4
+    assert max(seen["event ONE"]) <= 4
+    assert max(seen["event TWO"]) <= 4
+    assert max(seen["first cov_plugin read"]) <= 1
+    assert seen["second cov_plugin read"] == {0}
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_report_covariance_answers_for_its_batch(option):
+    """A report's covariance, computed on its first read, answers for the
+    state at estimate() time: reports taken after every batch and read only
+    once the stream has passed both events match the covariance the state
+    gave at their batch."""
+    state_options, begin_options = OPTIONS[option]
+    state = hs.new_stream(hs.StreamSchema(CFG.p), **state_options)
+    reports, expected = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for j, stats in enumerate(batches(), start=1):
+            feed(state, j, stats, begin_options)
+            reports.append(state.estimate())
+            expected.append(state.asymptotic_covariance())
+    for j, (report, cov) in enumerate(zip(reports, expected), start=1):
+        np.testing.assert_array_equal(report.cov_plugin, cov, err_msg=f"batch {j}")
+
+
+def test_report_covariance_is_none_for_a_too_small_segment():
+    """An event batch with no more rows than observed columns (its initial
+    choices supplied) leaves the newest segment too small for its residual
+    variance: the report taken then reads None, even once later batches
+    have made the covariance estimable."""
+    raw = simlab.gen_stream(CFG, 0)
+    state = hs.new_stream(hs.StreamSchema(CFG.p))
+    for b in raw[: CFG.k]:
+        state.ingest_pre_change(hs.compress_batch(b.x, b.y, SCHEMA))
+    rows = slice(CFG.p + CFG.q)
+    event = raw[CFG.k]
+    state.begin_update_phase(
+        hs.compress_batch(event.x[rows], event.y[rows], SCHEMA, z_rows=event.z[rows]),
+        sigma0_sq=1.0, theta0=np.zeros(CFG.q), e0_zz=np.eye(CFG.q),
+    )
+    report = state.estimate()
+    with pytest.raises(hs.InsufficientData):
+        state.asymptotic_covariance()
+    b = raw[CFG.k + 1]
+    state.ingest_post_change(hs.compress_batch(b.x, b.y, SCHEMA, z_rows=b.z))
+    assert state.estimate().cov_plugin is not None
+    assert report.cov_plugin is None
+
+
+def test_report_constructed_without_a_state():
+    report = hs.EstimateReport(
+        beta=np.zeros(2), theta=None, gamma=None, theta_naive=None, cov_plugin=None,
+        rho_hat=0.0, n_total=3, m_post=0, case_label=None,
+    )
+    assert report.cov_plugin is None
+
+
+def test_writing_into_a_report_covariance_does_not_leak():
+    state = hs.new_stream(hs.StreamSchema(CFG.p))
+    for j, stats in enumerate(batches()[:FIRST_EVENT + 3], start=1):
+        feed(state, j, stats, {})
+    expected = state.asymptotic_covariance()
+    first, second = state.estimate(), state.estimate()
+    first.cov_plugin[:] = 0.0
+    np.testing.assert_array_equal(second.cov_plugin, expected)
+    np.testing.assert_array_equal(state.estimate().cov_plugin, expected)
