@@ -165,6 +165,10 @@ def compress_batch(x_rows, y, schema: StreamSchema, z_rows=None, w_rows=None) ->
 
     No centering is applied: the modeling assumptions put the covariate means
     at zero, so real data must be pre-centered by the caller.
+
+    The rows are copied into one C-contiguous n x (p+q+r+1) array [x z w y]
+    whose Gram matrix gives every block at once, so the sums depend only on
+    the input values, never on the memory layout the caller's arrays have.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = y.shape[0]
@@ -175,30 +179,36 @@ def compress_batch(x_rows, y, schema: StreamSchema, z_rows=None, w_rows=None) ->
     if w_rows is not None and z_rows is None:
         raise DimensionMismatch("w rows supplied without z rows")
 
-    x = _rows(x_rows, n, schema.p, "x")
-    stats: dict = dict(
-        n=n,
-        phase_tag=PHASE_X,
-        xtx=x.T @ x,
-        xty=x.T @ y,
-        yty=float(y @ y),
-    )
+    columns = [_rows(x_rows, n, schema.p, "x")]
     if z_rows is not None:
         if schema.q < 1:
             raise DimensionMismatch("schema declares q = 0 but z rows were supplied")
-        z = _rows(z_rows, n, schema.q, "z")
-        stats.update(phase_tag=PHASE_XZ, xtz=x.T @ z, ztz=z.T @ z, zty=z.T @ y)
+        columns.append(_rows(z_rows, n, schema.q, "z"))
         if w_rows is not None:
             if schema.r < 1:
                 raise DimensionMismatch("schema declares r = 0 but w rows were supplied")
-            w = _rows(w_rows, n, schema.r, "w")
-            stats.update(
-                phase_tag=PHASE_XZW,
-                xtw=x.T @ w,
-                ztw=z.T @ w,
-                wtw=w.T @ w,
-                wty=w.T @ y,
-            )
+            columns.append(_rows(w_rows, n, schema.r, "w"))
+    columns.append(y.reshape(-1, 1))
+    rows = np.concatenate(columns, axis=1)
+    gram = rows.T @ rows
+    # column ranges of x, z and w; the last row and column of gram are y's
+    p, q = schema.p, schema.q
+    xs, zs, ws = slice(0, p), slice(p, p + q), slice(p + q, -1)
+
+    def block(a, b):
+        return gram[a, b].copy()
+
+    stats: dict = dict(
+        n=n, phase_tag=PHASE_X,
+        xtx=block(xs, xs), xty=block(xs, -1), yty=float(gram[-1, -1]),
+    )
+    if z_rows is not None:
+        stats.update(phase_tag=PHASE_XZ, xtz=block(xs, zs), ztz=block(zs, zs), zty=block(zs, -1))
+    if w_rows is not None:
+        stats.update(
+            phase_tag=PHASE_XZW,
+            xtw=block(xs, ws), ztw=block(zs, ws), wtw=block(ws, ws), wty=block(ws, -1),
+        )
     return BatchStats(**stats)
 
 

@@ -101,8 +101,9 @@ def load_state(path) -> AccumulatorState:
     """Rebuild an accumulator from a snapshot written by save_state.
 
     A file that is not a readable snapshot (truncated or not an archive, a
-    missing entry, malformed metadata, an array whose shape or presence the
-    schema and phase do not give) raises HetstreamError. Older v1
+    missing entry, malformed metadata, a segment count that is not a
+    non-negative integer, a weight record, map or array whose shape or
+    presence the schema and phase do not give) raises HetstreamError. Older v1
     snapshots also carry a ``scalars`` entry, a running residual sum that
     the state computes on read instead; it is ignored.
     """
@@ -130,6 +131,21 @@ def _state_from_snapshot(data) -> AccumulatorState:
         raise ValueError(f"segment phase tags {tags} do not fit phase {state.phase.name}")
     if data["seg_yty"].shape != (len(tags),):
         raise ValueError(f"seg_yty has shape {data['seg_yty'].shape}, expected ({len(tags)},)")
+    for i, seg_meta in enumerate(meta["segments"]):
+        n = seg_meta["n"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"segment {i} has n = {n!r}, expected a non-negative integer")
+    # the weight records and maps an event leaves behind, by phase
+    present = {
+        "weights": state.phase is not Phase.PRE,
+        "homog": state.phase is not Phase.PRE,
+        "weights2": state.phase is Phase.TWO,
+    }
+    for key, wanted in present.items():
+        if (meta[key] is not None) != wanted:
+            raise ValueError(
+                f"{key} is {'missing' if wanted else 'present'} in phase {state.phase.name}"
+            )
     state.case_label = meta["case_label"]
     state._b_forced = meta["b_forced"]
     state._cd_forced = meta["cd_forced"]

@@ -10,6 +10,10 @@ estimator system once homogenization columns enter).
 The LAPACK routines (dpotrf/dpotrs, dgetrf/dgetrs) are called directly:
 at these sizes scipy.linalg's wrappers around them cost several times the
 factorization itself. Any nonzero LAPACK ``info`` is reported as an error.
+scipy.linalg is imported on the first factorization or solve, not with this
+module: it is most of the time a process takes to import hetstream, and a
+process that only merges batches (a plain ``hetstream ingest``) never needs
+it. Later calls reach the loaded module through a cached accessor.
 
 A factor can be kept and solved with again: the leading w x w block of the
 Cholesky factor of a Gram matrix is the factor of that Gram matrix's
@@ -19,14 +23,23 @@ a factored matrix without factoring again.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
 # Relative pivot tolerance: a pivot at or below PIVOT_RTOL * max diagonal
 # is treated as rank deficiency.
 PIVOT_RTOL = 1e-12
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def as_matrix(a) -> np.ndarray:
@@ -58,7 +71,7 @@ def cholesky(a) -> np.ndarray:
     if diag_max <= 0.0:
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     tol = PIVOT_RTOL * diag_max
-    lower, info = lapack.dpotrf(a, lower=1)
+    lower, info = _lapack().dpotrf(a, lower=1)
     if info:
         raise NotPositiveDefinite(f"LAPACK dpotrf failed (info={info})")
     pivots = lower.diagonal() ** 2
@@ -106,7 +119,7 @@ def solve_cholesky(lower: np.ndarray, b):
         )
     if w == 0:
         return b_arr.copy()
-    x, info = lapack.dpotrs(lower[:w, :w], b_arr, lower=1)
+    x, info = _lapack().dpotrs(lower[:w, :w], b_arr, lower=1)
     if info:
         raise SingularMatrix(f"LAPACK dpotrs failed (info={info})")
     return x
@@ -129,14 +142,14 @@ def solve_general(a, b):
         )
     if n == 0:
         return b_arr.copy()
-    lu, piv, info = lapack.dgetrf(a)
+    lu, piv, info = _lapack().dgetrf(a)
     if info:
         # info > 0: an exactly zero pivot in U
         raise SingularMatrix(f"LAPACK dgetrf failed (info={info}); system is rank deficient")
     u_diag = np.abs(lu.diagonal())
     if u_diag.min() <= PIVOT_RTOL * u_diag.max():
         raise SingularMatrix("LU pivot below tolerance; system is rank deficient")
-    x, info = lapack.dgetrs(lu, piv, b_arr)
+    x, info = _lapack().dgetrs(lu, piv, b_arr)
     if info:
         raise SingularMatrix(f"LAPACK dgetrs failed (info={info})")
     return x

@@ -1,9 +1,12 @@
 """Unit tests for batch compression and merging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hetstream as hs
+from hetstream import io as hio
 from hetstream.batchstats import BatchStats
 from hetstream.errors import (
     DimensionMismatch,
@@ -173,3 +176,43 @@ def test_batch_ols_matches_under_correlated_design():
         np.linalg.lstsq(x, y, rcond=None)[0],
         rtol=1e-8,
     )
+
+
+def _assert_bit_identical(a: BatchStats, b: BatchStats) -> None:
+    for field in dataclasses.fields(BatchStats):
+        lhs, rhs = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(lhs, np.ndarray):
+            assert lhs.shape == rhs.shape and lhs.tobytes() == rhs.tobytes(), field.name
+        else:
+            assert lhs == rhs, field.name
+
+
+@pytest.mark.parametrize("groups", ["x", "xz", "xzw"])
+def test_statistics_depend_only_on_values(groups, tmp_path):
+    # a CSV round trip, C-order and Fortran-order copies, and column slices of
+    # one array hold the same values in different memory layouts; every
+    # field of their statistics must agree bit for bit
+    p, q, r = 4, 3 * ("z" in groups), 2 * ("w" in groups)
+    schema = hs.StreamSchema(p, q, r)
+    rng = np.random.default_rng(11501)
+    chol = np.linalg.cholesky(ar1_cov(p + q + r))
+    for j in range(10):
+        rows = rng.standard_normal((100, p + q + r)) @ chol.T
+        y = rows @ rng.normal(size=p + q + r) + rng.normal(size=100)
+        x, z, w = rows[:, :p], rows[:, p:p + q] if q else None, rows[:, p + q:] if r else None
+        slices = (x, z, w, y)
+        path = tmp_path / f"batch{j}.csv"
+        hio.write_batch_csv(path, x, y, z=z, w=w)
+        layouts = {
+            "slices": slices,
+            "csv": hio.read_batch_csv(path),
+            "c": tuple(None if a is None else np.ascontiguousarray(a) for a in slices),
+            "f": tuple(None if a is None else np.asfortranarray(a) for a in slices),
+        }
+        stats = {
+            name: hs.compress_batch(lx, ly, schema, z_rows=lz, w_rows=lw)
+            for name, (lx, lz, lw, ly) in layouts.items()
+        }
+        for name in ("csv", "c", "f"):
+            _assert_bit_identical(stats["slices"], stats[name])
+        np.testing.assert_array_equal(stats["c"].xtx, stats["c"].xtx.T)

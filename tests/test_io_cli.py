@@ -1,13 +1,17 @@
 """Snapshot round trips, batch CSV parsing, config files, CLI sessions."""
 
+import contextlib
+import io as io_text
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hetstream as hs
+from hetstream import cli, simlab
 from hetstream import io as hio
 from hetstream.errors import InvalidConfig, SchemaMismatch
 
@@ -117,6 +121,51 @@ class TestSnapshot:
         _tamper(path, self.TAMPERS[tamper])
         with pytest.raises(hs.HetstreamError, match="not a readable state snapshot"):
             hio.load_state(path)
+
+    # phase -> edits of the metadata's weight records and maps that the
+    # phase does not give
+    RECORD_TAMPERS = {
+        "PRE with weights": ("PRE", lambda meta, arrays: meta.update(weights={"provenance": "estimated"})),
+        "ONE without weights": ("ONE", lambda meta, arrays: meta.update(weights=None)),
+        "ONE without homog": ("ONE", lambda meta, arrays: meta.update(homog=None)),
+        "ONE with weights2": ("ONE", lambda meta, arrays: meta.update(weights2={"provenance": "estimated"})),
+        "TWO without weights": ("TWO", lambda meta, arrays: meta.update(weights=None)),
+        "TWO without weights2": ("TWO", lambda meta, arrays: meta.update(weights2=None)),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(RECORD_TAMPERS))
+    def test_weight_records_checked_against_phase(self, tamper, tmp_path):
+        phase, edit = self.RECORD_TAMPERS[tamper]
+        path = tmp_path / "state.npz"
+        hio.save_state(_state_in_phase(np.random.default_rng(416), phase), path)
+        _tamper(path, edit)
+        with pytest.raises(hs.HetstreamError, match=f"is (missing|present) in phase {phase}"):
+            hio.load_state(path)
+
+    @pytest.mark.parametrize("n", [-5, 2.5, True, "7", None])
+    def test_segment_count_must_be_a_nonnegative_integer(self, n, tmp_path):
+        path = tmp_path / "state.npz"
+        hio.save_state(_state_in_phase(np.random.default_rng(417), "ONE"), path)
+        _tamper(path, lambda meta, arrays: meta["segments"][0].update(n=n))
+        with pytest.raises(hs.HetstreamError, match="segment 0 has n"):
+            hio.load_state(path)
+
+
+def _state_in_phase(rng, phase: str) -> hs.AccumulatorState:
+    if phase == "PRE":
+        x = rng.standard_normal((25, 2))
+        state = hs.new_stream(hs.StreamSchema(2))
+        state.ingest_pre_change(hs.compress_batch(x, x @ [1.0, -1.0] + rng.normal(size=25), hs.StreamSchema(2)))
+        return state
+    state = _phase1_state(rng)
+    if phase == "TWO":
+        rows = rng.standard_normal((30, 4))
+        y = rows @ np.array([1.0, -1.0, 0.5, 0.25]) + rng.normal(size=30)
+        state.begin_second_update(
+            hs.compress_batch(rows[:, :2], y, hs.StreamSchema(2, 1, 1),
+                              z_rows=rows[:, 2:3], w_rows=rows[:, 3:])
+        )
+    return state
 
 
 def _tamper(path, edit):
@@ -439,3 +488,58 @@ class TestCliStreamSession:
         assert weights2.sigma0_sq == 7.0
         np.testing.assert_array_equal(weights2.theta0, [0.5])
         np.testing.assert_array_equal(weights2.e0_zz, [[2.0]])
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta, arrays: meta.update(weights=None),
+        lambda meta, arrays: meta["segments"][0].update(n=-5),
+    ], ids=["weights null", "negative n"])
+    def test_snapshot_records_checked_exit_3(self, edit, tmp_path):
+        rng = np.random.default_rng(419)
+        state_path = tmp_path / "s.npz"
+        pre, event = tmp_path / "pre.csv", tmp_path / "event.csv"
+        self._write_batch(rng, pre, n=30)
+        self._write_batch(rng, event, q=1, n=30)
+        assert run_cli("ingest", "--state", str(state_path), "--batch", str(pre)).returncode == 0
+        assert run_cli(
+            "ingest", "--state", str(state_path), "--batch", str(event), "--event", "add-z",
+        ).returncode == 0
+        _tamper(state_path, edit)
+        proc = run_cli("estimate", "--state", str(state_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_session_prints_the_library_estimates(tmp_path):
+    # a short Example-4 stream fed batch by batch through the CLI (its rows
+    # read back from CSV) prints, to its 12 digits, what the library gives
+    # on the generator's own arrays after every batch (stream 3 of this seed
+    # has an estimate on a 12-digit rounding boundary)
+    cfg = replace(simlab.example4_config(seed=11501, replications=1), k=2, m=2, j_max=6)
+    schema = hs.StreamSchema(cfg.p, cfg.q, cfg.r)
+    state = hs.new_stream(hs.StreamSchema(cfg.p))
+    state_path = str(tmp_path / "s.npz")
+    for j, batch in enumerate(simlab.gen_stream(cfg, 3), start=1):
+        path = str(tmp_path / f"batch{j}.csv")
+        hio.write_batch_csv(path, batch.x, batch.y, z=batch.z, w=batch.w)
+        stats = hs.compress_batch(batch.x, batch.y, schema, z_rows=batch.z, w_rows=batch.w)
+        event = {cfg.k + 1: "add-z", cfg.k + cfg.m + 1: "add-w"}.get(j)
+        if event == "add-z":
+            state.begin_update_phase(stats)
+        elif event == "add-w":
+            state.begin_second_update(stats)
+        elif state.phase is hs.Phase.PRE:
+            state.ingest_pre_change(stats)
+        else:
+            state.ingest_post_change(stats)
+        out = io_text.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["ingest", "--state", state_path, "--batch", path, "--print-estimate"]
+            assert cli.main(argv + (["--event", event] if event else [])) == 0
+        printed = _parse_kv(out.getvalue())
+        report = state.estimate()
+        for name in ("beta", "theta", "gamma"):
+            values = getattr(report, name)
+            for i, v in enumerate([] if values is None else values, start=1):
+                assert printed[f"{name}_{i}"] == f"{float(v):.12g}", (j, name, i)
+        assert printed["sse"] == f"{state.update_sse():.12g}"

@@ -1,5 +1,8 @@
 """Unit tests for the small dense linear algebra kernel."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -235,3 +238,27 @@ class TestLapackPath:
             np.testing.assert_allclose(
                 solve(a_f, b_f), np.linalg.solve(a.astype(float), b_f), rtol=1e-12
             )
+
+
+def test_scipy_linalg_is_imported_on_first_factorization(tmp_path):
+    # a plain ingest only merges, so its process never loads scipy; the
+    # first factorization (here an estimate's) loads scipy.linalg
+    batch, state = str(tmp_path / "b.csv"), str(tmp_path / "s.npz")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy as np",
+        "from hetstream import cli, io as hio",
+        "rng = np.random.default_rng(0)",
+        "x = rng.standard_normal((40, 2))",
+        f"hio.write_batch_csv({batch!r}, x, x @ [1.0, -1.0] + rng.standard_normal(40))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for _ in range(2):",
+        f"        assert cli.main(['ingest', '--state', {state!r}, '--batch', {batch!r}]) == 0",
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main(['estimate', '--state', {state!r}]) == 0",
+        "assert 'scipy.linalg' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
