@@ -62,16 +62,6 @@ class StreamSchema:
             + [f"w{i + 1}" for i in range(r)]
         )
 
-    def with_q(self, q: int) -> "StreamSchema":
-        if self.q == q:
-            return self
-        return StreamSchema(self.p, q, self.r)
-
-    def with_r(self, r: int) -> "StreamSchema":
-        if self.r == r:
-            return self
-        return StreamSchema(self.p, self.q, r)
-
 
 @dataclass(frozen=True)
 class BatchStats:

@@ -177,6 +177,10 @@ def cmd_ingest(args) -> int:
     if args.e0_zz is not None:
         diag = np.asarray(_parse_grid(args.e0_zz))
         overrides["e0_zz"] = np.diag(diag)
+    if args.event is None and (overrides or args.uncorrelated):
+        raise InvalidConfig(
+            "--sigma0-sq, --theta0, --e0-zz and --uncorrelated apply only with --event"
+        )
 
     if args.event == "add-z":
         state.begin_update_phase(
@@ -186,7 +190,8 @@ def cmd_ingest(args) -> int:
         for i in range(state.homog.b_hat.shape[0]):
             _print_vector(f"b_hat_row{i + 1}", state.homog.b_hat[i])
     elif args.event == "add-w":
-        state.begin_second_update(stats, **overrides)
+        # without the flag the stream's case decides
+        state.begin_second_update(stats, assume_uncorrelated=args.uncorrelated or None, **overrides)
         print("event = add-w")
     elif state.phase is Phase.PRE:
         state.ingest_pre_change(stats)
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--batch", required=True)
     ing.add_argument("--event", choices=("add-z", "add-w"), default=None)
     ing.add_argument("--uncorrelated", action="store_true",
-                     help="force the z-on-x projection to zero at add-z")
+                     help="force the new group's projections to zero at the event")
     ing.add_argument("--weight-convention", choices=CONVENTIONS, default=GRAM_SQUARED)
     ing.add_argument("--sigma0-sq", type=float, default=None)
     ing.add_argument("--theta0", default=None, help="comma-separated initial theta")

@@ -34,6 +34,11 @@ Phase.ONE   z became observable at the first event; the bordered system
 Phase.TWO   w became observable at the second event; the (p+q+r) system
             additionally uses C-hat and D-hat.
 
+The phase is not stored: a state with s + 1 segments is in phase s. Each
+covariate addition is the same event (_begin_event) applied to the group
+the batch reveals, and every segment's weight follows from one nested
+variance rule (_nested_variances), whatever the number of segments.
+
 Weight conventions
 ------------------
 "gram-squared" (default) multiplies every Gram contribution by the squared
@@ -48,14 +53,15 @@ from __future__ import annotations
 import copy
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from . import linalg
 from .batchstats import (
+    PHASE_TAGS,
     PHASE_X,
     PHASE_XZ,
     PHASE_XZW,
@@ -93,40 +99,77 @@ class Phase(Enum):
     TWO = PHASE_XZW
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Initial choices that define the two segment weights after the event.
+# the phase of a state with s + 1 segments is _PHASES[s]: indexing a tuple
+# costs far less than the enum's value lookup
+_PHASES = tuple(Phase)
 
-    sigma0_sq is the initial choice of the post-change error variance,
-    theta0 / e0_zz the initial choices of the new coefficients and the new
-    covariates' second moment. The pre-change weight is the reciprocal root
-    of sigma_eps_bar_sq = theta0' e0_zz theta0 + sigma0_sq, the post-change
-    weight the reciprocal root of sigma0_sq.
+
+def _nested_variances(sigma0_sq: float, groups) -> tuple[float, ...]:
+    """The one weight rule: every segment's error variance, oldest first.
+    The newest segment's is sigma0_sq; each earlier one adds c' E c to the
+    next one's, c and E the coefficients and second moment of the group it
+    does not observe. ``groups`` holds (name of E, c, E) per added group,
+    oldest first; an E that is not nonnegative definite, or a NaN, raises."""
+    variances = [sigma0_sq]
+    for name, c, e in reversed(groups):
+        later = variances[0]
+        variance = float(c @ e @ c + later)
+        if not variance >= later - 1e-12 * later:   # NaN fails too
+            raise InvalidConfig(
+                f"{name} must be nonnegative definite; the choices give a segment variance of {variance}"
+            )
+        variances.insert(0, variance)
+    return tuple(variances)
+
+
+@dataclass(frozen=True)
+class _NestedWeights:
+    """An event's weight spec: initial choices of the newest segment's error
+    variance (sigma0_sq) and of each added group's coefficients (1-D; a
+    scalar for one column) and k x k second moment. ``variances`` holds each
+    segment's error variance by _nested_variances; its row weight is the
+    reciprocal root."""
+
+    variances: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    _GROUPS = ()   # (coefficient, moment) field names per added group, oldest first
+
+    def __post_init__(self):
+        groups = []
+        for coef, moment in self._GROUPS:
+            c = np.asarray(getattr(self, coef), dtype=np.float64).reshape(-1)
+            e = np.asarray(getattr(self, moment), dtype=np.float64)
+            if e.shape != (c.size, c.size):
+                raise DimensionMismatch(f"{moment} has shape {e.shape}, {coef} length {c.size}")
+            object.__setattr__(self, coef, c)
+            object.__setattr__(self, moment, e)
+            groups.append((moment, c, e))
+        if not self.sigma0_sq > 0.0:   # NaN fails too
+            raise InvalidConfig("sigma0_sq must be positive")
+        object.__setattr__(self, "variances", _nested_variances(self.sigma0_sq, groups))
+
+    def _check_widths(self, widths) -> None:
+        """The coefficients must have the widths of their added groups."""
+        got = tuple(getattr(self, coef).size for coef, _ in self._GROUPS)
+        if got != tuple(widths):
+            raise DimensionMismatch(f"weight choices have widths {got}, the groups {tuple(widths)}")
+
+
+@dataclass(frozen=True)
+class WeightSpec(_NestedWeights):
+    """Initial choices taken at the first event (first batch exposing z).
+
+    By the one rule the post-change error variance is sigma0_sq and the
+    pre-change one adds theta0' e0_zz theta0, the initial choices of the
+    new coefficients and the new covariates' second moment.
     """
 
     sigma0_sq: float
     theta0: np.ndarray
     e0_zz: np.ndarray
-    convention: str = GRAM_SQUARED
     provenance: str = ESTIMATED
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=np.float64))
-        object.__setattr__(self, "e0_zz", np.asarray(self.e0_zz, dtype=np.float64))
-        if self.sigma0_sq <= 0.0:
-            raise InvalidConfig("sigma0_sq must be positive")
-        if self.convention not in CONVENTIONS:
-            raise InvalidConfig(f"unknown weight convention {self.convention!r}")
-        if self.sigma_eps_bar_sq < self.sigma0_sq - 1e-12 * self.sigma0_sq:
-            raise InvalidConfig("e0_zz must be nonnegative definite")
-
-    @property
-    def sigma_eps_bar_sq(self) -> float:
-        return float(self.theta0 @ self.e0_zz @ self.theta0 + self.sigma0_sq)
-
-    @property
-    def w1(self) -> float:
-        return 1.0 / np.sqrt(self.sigma_eps_bar_sq)
+    _GROUPS = (("theta0", "e0_zz"),)
 
     @property
     def w2(self) -> float:
@@ -134,12 +177,12 @@ class WeightSpec:
 
 
 @dataclass(frozen=True)
-class SecondWeightSpec:
+class SecondWeightSpec(_NestedWeights):
     """Initial choices taken at the second event (first batch exposing w).
 
-    The three segment error variances nest: the final segment has sigma0_sq,
-    the middle segment adds gamma0' e0_ww gamma0, and the first segment adds
-    theta0' e0_zz theta0 on top of that.
+    By the one rule the three segment error variances nest: the final
+    segment has sigma0_sq, the middle segment adds gamma0' e0_ww gamma0, and
+    the first segment adds theta0' e0_zz theta0 on top of that.
     """
 
     sigma0_sq: float
@@ -149,31 +192,7 @@ class SecondWeightSpec:
     e0_zz: np.ndarray
     provenance: str = ESTIMATED
 
-    def __post_init__(self):
-        for name in ("gamma0", "theta0", "e0_ww", "e0_zz"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.sigma0_sq <= 0.0:
-            raise InvalidConfig("sigma0_sq must be positive")
-
-    @property
-    def sigma_mid_sq(self) -> float:
-        return float(self.gamma0 @ self.e0_ww @ self.gamma0 + self.sigma0_sq)
-
-    @property
-    def sigma_pre_sq(self) -> float:
-        return float(self.theta0 @ self.e0_zz @ self.theta0 + self.sigma_mid_sq)
-
-    @property
-    def w_pre(self) -> float:
-        return 1.0 / np.sqrt(self.sigma_pre_sq)
-
-    @property
-    def w_mid(self) -> float:
-        return 1.0 / np.sqrt(self.sigma_mid_sq)
-
-    @property
-    def w_post(self) -> float:
-        return 1.0 / np.sqrt(self.sigma0_sq)
+    _GROUPS = (("theta0", "e0_zz"), ("gamma0", "e0_ww"))
 
 
 @dataclass(frozen=True)
@@ -285,18 +304,8 @@ def _per_segment(method):
     return cached
 
 
-def _copy(a: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else a.copy()
-
-
 def _gram_weight(w: float, convention: str) -> float:
     return w * w if convention == GRAM_SQUARED else w
-
-
-def _by_group(maps: HomogenizationMap) -> list[list[np.ndarray | None]]:
-    """Maps as fits[g - 1][s]: covariate group g projected onto the columns
-    that segment s observes."""
-    return [[maps.b_hat], [maps.c_hat, maps.d_hat]]
 
 
 def _cholesky_or_none(gram: np.ndarray) -> np.ndarray | None:
@@ -307,14 +316,17 @@ def _cholesky_or_none(gram: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _fit_maps(gram: np.ndarray, widths, group: slice, lower=None) -> list[np.ndarray]:
-    """Least-squares projections of the columns ``group`` of a Gram matrix
-    onto its leading ``width`` columns, one per width. ``lower``, a
-    Cholesky factor of the whole Gram matrix when given, factors every
-    leading block at once; without it each block is factored alone."""
+def _fit_maps(gram: np.ndarray, bounds, g: int, lower=None) -> list[np.ndarray]:
+    """Least-squares projections of covariate group g, columns
+    bounds[g]:bounds[g + 1] of a Gram matrix, onto the leading
+    bounds[s + 1] columns that each earlier segment s observes: fits[g - 1].
+    ``lower``, a Cholesky factor of the whole Gram matrix when given,
+    factors every leading block at once; without it each block is factored
+    alone."""
+    group = slice(bounds[g], bounds[g + 1])
     if lower is None:
-        return [linalg.solve_spd(gram[:w, :w], gram[:w, group]) for w in widths]
-    return [linalg.solve_cholesky(lower, gram[:w, group]) for w in widths]
+        return [linalg.solve_spd(gram[:w, :w], gram[:w, group]) for w in bounds[1 : g + 1]]
+    return [linalg.solve_cholesky(lower, gram[:w, group]) for w in bounds[1 : g + 1]]
 
 
 def _initial_choices(stats: BatchStats, lower: np.ndarray | None, **overrides) -> tuple[dict, str]:
@@ -346,7 +358,7 @@ def _initial_choices(stats: BatchStats, lower: np.ndarray | None, **overrides) -
         warnings.warn(
             "event-batch residual variance is ~0 (noiseless data?); "
             "falling back to unit weights",
-            stacklevel=3,
+            stacklevel=4,   # the caller of begin_update_phase / begin_second_update
         )
         sigma_sq, eta = 1.0, np.zeros_like(eta)
     estimated = dict(
@@ -361,6 +373,11 @@ def _initial_choices(stats: BatchStats, lower: np.ndarray | None, **overrides) -
     }
     choices["sigma0_sq"] = float(choices["sigma0_sq"])
     return choices, ESTIMATED
+
+
+def _nth(records: tuple, i: int):
+    """Record i of a per-event tuple; None before event i + 1."""
+    return records[i] if i < len(records) else None
 
 
 class AccumulatorState:
@@ -387,17 +404,18 @@ class AccumulatorState:
         # refinement is the default; the frozen mode reproduces the
         # estimate-once construction exactly.
         self.refine_maps = refine_maps
-        self.phase = Phase.PRE
-        self.weights: WeightSpec | None = None
-        self.weights2: SecondWeightSpec | None = None
-        self.homog: HomogenizationMap | None = None
         self.case_label: str | None = None
-        self.k_index: int | None = None   # batch index of the last x-only batch
-        self.m_index: int | None = None   # batch index of the last (x,z) batch
         self.batch_count = 0
         self._segments: list[BatchStats] = [BatchStats.zeros(schema.p)]
-        self._b_forced = False   # projection supplied/forced: never refine it
-        self._cd_forced = False
+        # one record per event, oldest first; an event rebinds these tuples
+        # and never writes into them: the batch count before the event, the
+        # weight spec, the event-batch maps as fits[g - 1][s] (group g
+        # projected onto the columns segment s observes), and whether those
+        # maps were supplied or forced (then they are never refined)
+        self._event_batches: tuple[int, ...] = ()
+        self._specs: tuple[_NestedWeights, ...] = ()
+        self._fits: tuple[tuple[np.ndarray, ...], ...] = ()
+        self._forced: tuple[bool, ...] = ()
         # derived quantities, never persisted: per batch (see _derived),
         # cleared by every mutator, and per segment (see _per_segment),
         # segment index -> entries, dropped when that segment is merged into
@@ -408,14 +426,28 @@ class AccumulatorState:
     # weights and bookkeeping
     # ------------------------------------------------------------------
 
+    phase = property(lambda self: _PHASES[len(self._segments) - 1])
+    # views of the per-event records, None before the event
+    weights = property(lambda self: _nth(self._specs, 0))
+    weights2 = property(lambda self: _nth(self._specs, 1))
+    k_index = property(lambda self: _nth(self._event_batches, 0))   # last x-only batch
+    m_index = property(lambda self: _nth(self._event_batches, 1))   # last (x, z) batch
+
+    @property
+    def homog(self) -> HomogenizationMap | None:
+        """The maps as estimated on their event batches."""
+        if not self._fits:
+            return None
+        return HomogenizationMap(
+            *chain.from_iterable(self._fits), estimated_on=self._event_batches[0] + 1
+        )
+
     @_derived
     def row_weights(self) -> tuple[float, ...]:
-        """Row weight applied to each segment under the current phase."""
-        if self.phase is Phase.PRE:
-            return (1.0,)
-        if self.phase is Phase.ONE:
-            return (self.weights.w1, self.weights.w2)
-        return (self.weights2.w_pre, self.weights2.w_mid, self.weights2.w_post)
+        """Row weight of each segment: the reciprocal root of its error
+        variance under the newest weight spec (unit before any event)."""
+        variances = self._specs[-1].variances if self._specs else (1.0,)
+        return tuple(1.0 / np.sqrt(v) for v in variances)
 
     @_derived
     def gram_weights(self) -> tuple[float, ...]:
@@ -440,14 +472,14 @@ class AccumulatorState:
 
     @property
     def v_xz(self) -> np.ndarray | None:
-        if self.phase is Phase.PRE:
+        if len(self._segments) == 1:
             return None
         g = self.gram_weights()
         return sum(gi * seg.xtz for gi, seg in zip(g[1:], self._segments[1:]))
 
     @property
     def v_z(self) -> np.ndarray | None:
-        if self.phase is Phase.PRE:
+        if len(self._segments) == 1:
             return None
         g = self.gram_weights()
         return sum(gi * seg.ztz for gi, seg in zip(g[1:], self._segments[1:]))
@@ -468,14 +500,9 @@ class AccumulatorState:
 
     def ingest_pre_change(self, stats: BatchStats) -> "AccumulatorState":
         """Accumulate an x-only batch (weight 1 before any event)."""
-        if self.phase is not Phase.PRE:
+        if len(self._segments) > 1:
             raise PhaseMismatch("pre-change batch after a covariate addition")
-        if stats.phase_tag != PHASE_X:
-            raise PhaseMismatch(f"expected an x-only batch, got {stats.phase_tag!r}")
-        if stats.p != self.schema.p:
-            raise DimensionMismatch(f"batch has p={stats.p}, schema has p={self.schema.p}")
-        self._merge_into(0, stats)
-        return self
+        return self._ingest(stats)
 
     def begin_update_phase(
         self,
@@ -494,69 +521,18 @@ class AccumulatorState:
         ingested as the first post-change batch. assume_uncorrelated forces
         B-hat to zero (the uncorrelated-case formulas).
         """
-        if self.phase is not Phase.PRE:
-            raise PhaseMismatch("stream already has an (x, z) phase")
-        if first_post_stats.phase_tag != PHASE_XZ:
-            raise PhaseMismatch("the event batch must carry exactly the x and z groups")
-        p = self.schema.p
-        q = first_post_stats.q
-        if first_post_stats.p != p:
-            raise DimensionMismatch(f"batch has p={first_post_stats.p}, schema has p={p}")
-        if self.schema.q and self.schema.q != q:
-            raise DimensionMismatch(f"batch has q={q}, schema declares q={self.schema.q}")
-        gram = first_post_stats.full_gram()
-        lower = _cholesky_or_none(gram)
-
-        # every step that can fail runs before the state changes, so a
-        # failed event leaves no trace
-        forced = bool(assume_uncorrelated) or b_hat is not None
-        if assume_uncorrelated:
-            b = np.zeros((p, q))
-        elif b_hat is not None:
-            b = np.asarray(b_hat, dtype=np.float64)
-            if b.shape != (p, q):
-                raise DimensionMismatch(f"b_hat has shape {b.shape}, expected ({p}, {q})")
-        else:
-            try:
-                (b,) = _fit_maps(gram, (p,), slice(p, p + q), lower)
-            except SingularMatrix as exc:
-                raise SingularMatrix(
-                    f"first post-change batch cannot identify the projection of z on x; "
-                    f"it needs at least {p} observations with full-rank x "
-                    f"(got n={first_post_stats.n})"
-                ) from exc
-        case = CASE_UNCORRELATED if not np.any(b) else CASE_CORRELATED
-
-        choices, provenance = _initial_choices(
-            first_post_stats, lower, sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz
+        return self._begin_event(
+            1, first_post_stats,
+            maps=None if b_hat is None else (b_hat,),
+            zero_maps=assume_uncorrelated,
+            sigma0_sq=sigma0_sq, theta0=theta0, e0_zz=e0_zz,
         )
-        weights = WeightSpec(**choices, convention=self.convention, provenance=provenance)
-        self.schema = self.schema.with_q(q)
-        self._b_forced = forced
-        self.weights = weights
-        self.homog = HomogenizationMap(b, estimated_on=self.batch_count + 1)
-        self.case_label = case
-        self.k_index = self.batch_count
-        self.phase = Phase.ONE
-        return self._open_segment(first_post_stats, gram, lower)
 
     def ingest_post_change(self, stats: BatchStats) -> "AccumulatorState":
         """Weighted accumulation of a batch carrying the current phase's groups."""
-        if self.phase is Phase.PRE:
+        if len(self._segments) == 1:
             raise PhaseMismatch("no covariate-addition event has happened yet")
-        expected = self.phase.value
-        if stats.phase_tag != expected:
-            raise PhaseMismatch(
-                f"expected a {expected!r} batch in this phase, got {stats.phase_tag!r}"
-            )
-        sch = self.schema
-        if (stats.p, stats.q) != (sch.p, sch.q) or (expected == PHASE_XZW and stats.r != sch.r):
-            raise DimensionMismatch(
-                f"batch dims (p={stats.p}, q={stats.q}, r={stats.r}) do not match "
-                f"schema (p={sch.p}, q={sch.q}, r={sch.r})"
-            )
-        self._merge_into(len(self._segments) - 1, stats)
-        return self
+        return self._ingest(stats)
 
     def begin_second_update(
         self,
@@ -575,61 +551,93 @@ class AccumulatorState:
         second weight spec are re-estimated here as well (or overridden).
         assume_uncorrelated defaults to the stream's existing case label.
         """
-        if self.phase is not Phase.ONE:
-            raise PhaseMismatch("a second update requires an active (x, z) phase")
-        if first_post_stats.phase_tag != PHASE_XZW:
-            raise PhaseMismatch("the second event batch must carry the x, z and w groups")
-        p, q = self.schema.p, self.schema.q
-        r = first_post_stats.r
-        if (first_post_stats.p, first_post_stats.q) != (p, q):
-            raise DimensionMismatch("second event batch does not match the (p, q) schema")
-        if self.schema.r and self.schema.r != r:
-            raise DimensionMismatch(f"batch has r={r}, schema declares r={self.schema.r}")
-        gram = first_post_stats.full_gram()
+        return self._begin_event(
+            2, first_post_stats,
+            zero_maps=assume_uncorrelated,
+            sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0, e0_ww=e0_ww, e0_zz=e0_zz,
+        )
+
+    def _begin_event(self, g: int, stats: BatchStats, *, maps=None, zero_maps=None, **overrides):
+        """Open segment g with ``stats``, the first batch that reveals
+        covariate group g.
+
+        The maps of group g onto the columns of every earlier segment are
+        zero when zero_maps is true (by default when the stream's case is
+        uncorrelated), else ``maps`` when supplied, else fitted on the
+        batch. The weight spec takes each initial choice from ``overrides``
+        or estimates it on the batch. Every step that can fail runs before
+        the state changes, so a failed event leaves no trace.
+        """
+        if len(self._segments) != g:
+            raise PhaseMismatch(f"covariate group {g} can only be added in phase {_PHASES[g - 1].name}")
+        widths = self._check_batch(stats, g)
+        dims = (self.schema.p, self.schema.q, self.schema.r)
+        schema = self.schema if dims[g] else StreamSchema(*widths, *dims[g + 1 :])
+        gram = stats.full_gram()
         lower = _cholesky_or_none(gram)
 
-        # as in begin_update_phase, the state changes only once every step
-        # that can fail has succeeded
-        if assume_uncorrelated is None:
-            assume_uncorrelated = self.case_label == CASE_UNCORRELATED
-        if assume_uncorrelated:
-            c = np.zeros((p, r))
-            d = np.zeros((p + q, r))
+        bounds = list(accumulate((0, *widths)))
+        if zero_maps is None:
+            zero_maps = self.case_label == CASE_UNCORRELATED
+        shapes = [(width, widths[g]) for width in bounds[1:g + 1]]
+        if zero_maps:
+            fits = tuple(np.zeros(shape) for shape in shapes)
+        elif maps is not None:
+            fits = tuple(np.asarray(f, dtype=np.float64) for f in maps)
+            for f, shape in zip(fits, shapes):
+                if f.shape != shape:
+                    raise DimensionMismatch(f"supplied map has shape {f.shape}, expected {shape}")
         else:
             try:
-                c, d = _fit_maps(gram, (p, p + q), slice(p + q, p + q + r), lower)
+                fits = tuple(_fit_maps(gram, bounds, g, lower))
             except SingularMatrix as exc:
                 raise SingularMatrix(
-                    f"second event batch cannot identify the projections of w; it "
-                    f"needs at least {p + q} full-rank observations "
-                    f"(got n={first_post_stats.n})"
+                    f"the event batch cannot identify the projections of the new covariates; "
+                    f"it needs at least {bounds[g]} observations with full-rank "
+                    f"observed covariates (got n={stats.n})"
                 ) from exc
-
-        choices, provenance = _initial_choices(
-            first_post_stats, lower, sigma0_sq=sigma0_sq, gamma0=gamma0, theta0=theta0,
-            e0_ww=e0_ww, e0_zz=e0_zz,
+        case = self.case_label or (
+            CASE_CORRELATED if any(np.any(f) for f in fits) else CASE_UNCORRELATED
         )
-        weights2 = SecondWeightSpec(**choices, provenance=provenance)
-        self.schema = self.schema.with_r(r)
-        self._cd_forced = bool(assume_uncorrelated)
-        self.weights2 = weights2
-        self.homog = HomogenizationMap(
-            self.homog.b_hat, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on
-        )
-        self.m_index = self.batch_count
-        self.phase = Phase.TWO
-        return self._open_segment(first_post_stats, gram, lower)
+        choices, provenance = _initial_choices(stats, lower, **overrides)
+        spec = (WeightSpec, SecondWeightSpec)[g - 1](**choices, provenance=provenance)
+        spec._check_widths(widths[1:])
 
-    def _open_segment(self, stats: BatchStats, gram: np.ndarray, lower) -> "AccumulatorState":
-        """Ingest an event batch into a new segment, which then holds exactly
-        the batch's sums: its Gram matrix and factor are the segment's own."""
-        self._segments.append(BatchStats.zeros(stats.p, stats.q, stats.r))
-        self.ingest_post_change(stats)
-        self._segment_cache[len(self._segments) - 1] = {
-            "_full": (gram, stats.full_moment()),
-            "_factor": lower,
-        }
+        self.schema = schema
+        self.case_label = case
+        self._event_batches += (self.batch_count,)
+        self._specs += (spec,)
+        self._fits += (fits,)
+        self._forced += (bool(zero_maps) or maps is not None,)
+        # the new segment holds exactly the batch's sums: its Gram matrix
+        # and factor are the segment's own
+        self._segments.append(BatchStats.zeros(*widths))
+        self._merge_into(g, stats)
+        self._segment_cache[g] = {"_full": (gram, stats.full_moment()), "_factor": lower}
         return self
+
+    def _ingest(self, stats: BatchStats) -> "AccumulatorState":
+        s = len(self._segments) - 1
+        self._check_batch(stats, s)
+        self._merge_into(s, stats)
+        return self
+
+    def _check_batch(self, stats: BatchStats, s: int) -> tuple[int, ...]:
+        """Widths of a batch for segment s, which must carry exactly the
+        groups 0..s with the widths the schema declares (group s may be
+        undeclared, 0, when the batch reveals it)."""
+        tag = PHASE_TAGS[s]
+        if stats.phase_tag != tag:
+            raise PhaseMismatch(f"expected a {tag!r} batch, got {stats.phase_tag!r}")
+        sch = self.schema
+        widths = (stats.p, stats.q, stats.r)[: s + 1]
+        declared = (sch.p, sch.q, sch.r)[: s + 1]
+        if widths[:s] != declared[:s] or declared[s] not in (0, widths[s]):
+            raise DimensionMismatch(
+                f"batch dims (p={stats.p}, q={stats.q}, r={stats.r}) do not match "
+                f"schema (p={sch.p}, q={sch.q}, r={sch.r})"
+            )
+        return widths
 
     def _merge_into(self, s: int, stats: BatchStats) -> None:
         self._segments[s] = merge(self._segments[s], stats)
@@ -676,39 +684,33 @@ class AccumulatorState:
         supplied or forced maps and too-small accumulations fall back to the
         designated-batch record. The arrays returned are copies.
         """
-        maps = self._maps()
         return HomogenizationMap(
-            _copy(maps.b_hat), _copy(maps.c_hat), _copy(maps.d_hat), maps.estimated_on
+            *(f.copy() for f in chain.from_iterable(self._maps())),
+            estimated_on=self.homog.estimated_on,
         )
 
     @_derived
-    def _maps(self) -> HomogenizationMap:
-        if self.homog is None:
+    def _maps(self) -> list[tuple[np.ndarray, ...]]:
+        """Maps in effect, as fits[g - 1][s] (see current_maps)."""
+        if not self._fits:
             raise PhaseMismatch("no covariate-addition event has happened yet")
+        fits = list(self._fits)
         if not self.refine_maps:
-            return self.homog
+            return fits
         bounds = self._bounds()
-        fits = _by_group(self.homog)
-        forced = (self._b_forced, self._cd_forced)
         newest = len(self._segments) - 1
         for g in range(1, newest + 1):
-            if forced[g - 1]:
+            if self._forced[g - 1]:
                 continue
             # the newest group's pooled Gram is the newest segment's own, so
             # that segment's factor serves its fits; when the whole Gram fails
             # the pivot rule, each leading block is factored alone
             lower = self._factor(g) if g == newest else None
             try:
-                fits[g - 1] = _fit_maps(
-                    self._pooled_gram(g),
-                    bounds[1 : g + 1],
-                    slice(bounds[g], bounds[g + 1]),
-                    lower,
-                )
+                fits[g - 1] = _fit_maps(self._pooled_gram(g), bounds, g, lower)
             except SingularMatrix:
                 pass
-        (b,), (c, d) = fits
-        return HomogenizationMap(b, c_hat=c, d_hat=d, estimated_on=self.homog.estimated_on)
+        return fits
 
     @_derived
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
@@ -736,7 +738,7 @@ class AccumulatorState:
         rest)."""
         bounds = self._bounds()
         k = len(self._segments)
-        fits = _by_group(self._maps()) if k > 1 else []
+        fits = self._maps() if k > 1 else []
         return [
             np.hstack([np.eye(bounds[s + 1])] + [fits[g - 1][s] for g in range(s + 1, k)])
             for s in range(k)
@@ -774,14 +776,14 @@ class AccumulatorState:
     def _solve_eta(self) -> np.ndarray:
         if self.n_total == 0:
             raise InsufficientData("no data ingested yet")
-        if self.phase is not Phase.PRE and self.m_post == 0:
-            raise InsufficientData("no post-change observations; theta is unidentified")
-        if self.phase is Phase.PRE:
+        if len(self._segments) == 1:
             # the one-segment bordered system is segment 0's own Gram
             eta = self._segment_fit(0)
             if eta is None:
                 raise SingularMatrix("the pre-change design is rank deficient")
             return eta
+        if self.m_post == 0:
+            raise InsufficientData("no post-change observations; theta is unidentified")
         return linalg.solve_general(*self._system())
 
     def estimate(self) -> EstimateReport:
@@ -793,19 +795,16 @@ class AccumulatorState:
         estimated (InsufficientData, SingularMatrix).
         """
         eta = self._solve_eta().copy()
-        p, q = self.schema.p, self.schema.q
-        theta = gamma = None
-        if self.phase is not Phase.PRE:
-            theta = eta[p : p + q]
-        if self.phase is Phase.TWO:
-            gamma = eta[p + q :]
+        bounds = self._bounds()
+        blocks = [eta[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        beta, theta, gamma = blocks + [None] * (3 - len(blocks))
         try:
             naive = self.naive_theta()
         except (InsufficientData, SingularMatrix, PhaseMismatch):
             naive = None
         n = self.n_total
         return EstimateReport(
-            beta=eta[:p],
+            beta=beta,
             theta=theta,
             gamma=gamma,
             theta_naive=naive,
@@ -839,7 +838,7 @@ class AccumulatorState:
 
     def naive_theta(self) -> np.ndarray:
         """Theta block of the plain OLS fit on the newest segment only."""
-        if self.phase is Phase.PRE:
+        if len(self._segments) == 1:
             raise PhaseMismatch("theta does not exist before the first event")
         newest = len(self._segments) - 1
         if self._segments[newest].n == 0:

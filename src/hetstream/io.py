@@ -9,17 +9,18 @@ per line, '.' decimals and no missing cells.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import re
 import zipfile
+from itertools import chain
 
 import numpy as np
 
 from .batchstats import PHASE_TAGS, BatchStats, StreamSchema
 from .engine import (
     AccumulatorState,
-    HomogenizationMap,
     Phase,
     SecondWeightSpec,
     WeightSpec,
@@ -30,6 +31,16 @@ SNAPSHOT_VERSION = 1
 
 _SEG_FIELDS = ("xtx", "xty", "xtz", "ztz", "zty", "xtw", "ztw", "wtw", "wty")
 
+# per event: the metadata key, array prefix and type of its weight spec,
+# and the array names of its maps fits[g - 1][s]
+_SPEC_RECORDS = (("weights", "w", WeightSpec), ("weights2", "w2", SecondWeightSpec))
+_MAP_NAMES = (("h_b",), ("h_c", "h_d"))
+
+
+def _spec_fields(spec_type) -> list[str]:
+    """A weight spec's numeric fields, in snapshot order."""
+    return [f.name for f in dataclasses.fields(spec_type) if f.init and f.name != "provenance"]
+
 
 def save_state(state: AccumulatorState, path) -> None:
     """Write a versioned .npz snapshot of the accumulator to exactly ``path``.
@@ -37,14 +48,15 @@ def save_state(state: AccumulatorState, path) -> None:
     The archive goes to a temporary file beside ``path`` that then replaces
     it, so an interrupted write never leaves a truncated snapshot behind.
     """
+    forced = state._forced + (False,) * (len(_SPEC_RECORDS) - len(state._forced))
     meta = {
         "version": SNAPSHOT_VERSION,
         "phase": state.phase.value,
         "convention": state.convention,
         "case_label": state.case_label,
         "refine_maps": state.refine_maps,
-        "b_forced": state._b_forced,
-        "cd_forced": state._cd_forced,
+        "b_forced": forced[0],
+        "cd_forced": forced[1],
         "k_index": state.k_index,
         "m_index": state.m_index,
         "batch_count": state.batch_count,
@@ -69,24 +81,14 @@ def save_state(state: AccumulatorState, path) -> None:
             block = getattr(seg, name)
             if block is not None:
                 arrays[f"seg{i}_{name}"] = np.asarray(block, dtype=np.float64)
-    if state.weights is not None:
-        meta["weights"] = {"provenance": state.weights.provenance}
-        arrays["w_sigma0_sq"] = np.array([state.weights.sigma0_sq])
-        arrays["w_theta0"] = state.weights.theta0
-        arrays["w_e0_zz"] = state.weights.e0_zz
-    if state.weights2 is not None:
-        meta["weights2"] = {"provenance": state.weights2.provenance}
-        arrays["w2_sigma0_sq"] = np.array([state.weights2.sigma0_sq])
-        arrays["w2_gamma0"] = state.weights2.gamma0
-        arrays["w2_theta0"] = state.weights2.theta0
-        arrays["w2_e0_ww"] = state.weights2.e0_ww
-        arrays["w2_e0_zz"] = state.weights2.e0_zz
-    if state.homog is not None:
+    for (key, prefix, spec_type), spec in zip(_SPEC_RECORDS, state._specs):
+        meta[key] = {"provenance": spec.provenance}
+        for name in _spec_fields(spec_type):
+            arrays[f"{prefix}_{name}"] = np.atleast_1d(getattr(spec, name))
+    if state._fits:
         meta["homog"] = {"estimated_on": state.homog.estimated_on}
-        arrays["h_b"] = state.homog.b_hat
-        if state.homog.c_hat is not None:
-            arrays["h_c"] = state.homog.c_hat
-            arrays["h_d"] = state.homog.d_hat
+        for names, fits in zip(_MAP_NAMES, state._fits):
+            arrays.update(zip(names, fits))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -101,11 +103,13 @@ def load_state(path) -> AccumulatorState:
     """Rebuild an accumulator from a snapshot written by save_state.
 
     A file that is not a readable snapshot (truncated or not an archive, a
-    missing entry, malformed metadata, a segment count that is not a
-    non-negative integer, a weight record, map or array whose shape or
-    presence the schema and phase do not give) raises HetstreamError. Older v1
-    snapshots also carry a ``scalars`` entry, a running residual sum that
-    the state computes on read instead; it is ignored.
+    missing entry, malformed metadata, a segment count or event batch index
+    that is not a non-negative integer, a weight record, map or array whose
+    shape or presence the schema and phase do not give) raises
+    HetstreamError; a weight spec whose widths do not fit the schema raises
+    DimensionMismatch. Older v1 snapshots also carry a ``scalars`` entry, a
+    running residual sum that the state computes on read instead; it is
+    ignored.
     """
     try:
         with np.load(path) as data:
@@ -125,32 +129,29 @@ def _state_from_snapshot(data) -> AccumulatorState:
         weight_convention=meta["convention"],
         refine_maps=meta["refine_maps"],
     )
-    state.phase = Phase(meta["phase"])
+    phase = Phase(meta["phase"])
     tags = [seg_meta["phase_tag"] for seg_meta in meta["segments"]]
-    if tags != list(PHASE_TAGS[: PHASE_TAGS.index(state.phase.value) + 1]):
-        raise ValueError(f"segment phase tags {tags} do not fit phase {state.phase.name}")
+    if tags != list(PHASE_TAGS[: PHASE_TAGS.index(phase.value) + 1]):
+        raise ValueError(f"segment phase tags {tags} do not fit phase {phase.name}")
     if data["seg_yty"].shape != (len(tags),):
         raise ValueError(f"seg_yty has shape {data['seg_yty'].shape}, expected ({len(tags)},)")
     for i, seg_meta in enumerate(meta["segments"]):
         n = seg_meta["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"segment {i} has n = {n!r}, expected a non-negative integer")
-    # the weight records and maps an event leaves behind, by phase
-    present = {
-        "weights": state.phase is not Phase.PRE,
-        "homog": state.phase is not Phase.PRE,
-        "weights2": state.phase is Phase.TWO,
-    }
+    # the weight records and maps an event leaves behind
+    events = len(tags) - 1
+    present = {"weights": events >= 1, "homog": events >= 1, "weights2": events >= 2}
     for key, wanted in present.items():
         if (meta[key] is not None) != wanted:
             raise ValueError(
-                f"{key} is {'missing' if wanted else 'present'} in phase {state.phase.name}"
+                f"{key} is {'missing' if wanted else 'present'} in phase {phase.name}"
             )
+    event_batches = (meta["k_index"], meta["m_index"])[:events]
+    for name, index in zip(("k_index", "m_index"), event_batches):
+        if type(index) is not int or index < 0:
+            raise ValueError(f"{name} = {index!r}, expected a non-negative integer")
     state.case_label = meta["case_label"]
-    state._b_forced = meta["b_forced"]
-    state._cd_forced = meta["cd_forced"]
-    state.k_index = meta["k_index"]
-    state.m_index = meta["m_index"]
     state.batch_count = meta["batch_count"]
     segments = []
     for i, seg_meta in enumerate(meta["segments"]):
@@ -175,35 +176,32 @@ def _state_from_snapshot(data) -> AccumulatorState:
             )
         )
     state._segments = segments
-    if meta["weights"] is not None:
-        state.weights = WeightSpec(
-            sigma0_sq=float(data["w_sigma0_sq"][0]),
-            theta0=data["w_theta0"],
-            e0_zz=data["w_e0_zz"],
-            convention=meta["convention"],
-            provenance=meta["weights"]["provenance"],
-        )
-    if meta["weights2"] is not None:
-        state.weights2 = SecondWeightSpec(
-            sigma0_sq=float(data["w2_sigma0_sq"][0]),
-            gamma0=data["w2_gamma0"],
-            theta0=data["w2_theta0"],
-            e0_ww=data["w2_e0_ww"],
-            e0_zz=data["w2_e0_zz"],
-            provenance=meta["weights2"]["provenance"],
-        )
-    if meta["homog"] is not None:
-        p, q, r = schema.p, schema.q, schema.r
-        maps = {"h_b": (p, q)}
-        if state.phase is Phase.TWO:
-            maps.update(h_c=(p, r), h_d=(p + q, r))
-        _check_shapes("maps", {name: data[name] for name in ("h_b", "h_c", "h_d") if name in data}, maps)
-        state.homog = HomogenizationMap(
-            b_hat=data["h_b"],
-            c_hat=data["h_c"] if "h_c" in data else None,
-            d_hat=data["h_d"] if "h_d" in data else None,
-            estimated_on=meta["homog"]["estimated_on"],
-        )
+    # group g spans columns bounds[g]:bounds[g + 1]; added[g - 1] is its width
+    bounds = state._bounds()
+    added = [stop - start for start, stop in zip(bounds[1:], bounds[2:])]
+    specs = []
+    for g, (key, prefix, spec_type) in enumerate(_SPEC_RECORDS[:events], start=1):
+        values = {name: data[f"{prefix}_{name}"] for name in _spec_fields(spec_type)}
+        values["sigma0_sq"] = float(values["sigma0_sq"][0])
+        spec = spec_type(**values, provenance=meta[key]["provenance"])
+        spec._check_widths(added[:g])
+        specs.append(spec)
+    names = _MAP_NAMES[:events]
+    _check_shapes(
+        "maps",
+        {name: data[name] for name in chain.from_iterable(_MAP_NAMES) if name in data},
+        {
+            name: (bounds[s + 1], added[g - 1])
+            for g, group in enumerate(names, start=1)
+            for s, name in enumerate(group)
+        },
+    )
+    state._event_batches = event_batches
+    state._specs = tuple(specs)
+    state._fits = tuple(
+        tuple(np.asarray(data[name], dtype=np.float64) for name in group) for group in names
+    )
+    state._forced = (meta["b_forced"], meta["cd_forced"])[:events]
     return state
 
 

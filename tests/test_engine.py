@@ -9,6 +9,7 @@ import hetstream as hs
 from hetstream import io
 from hetstream.engine import GRAM_SQUARED, PAPER_LINEAR
 from hetstream.errors import (
+    DimensionMismatch,
     InsufficientData,
     PhaseMismatch,
     SingularMatrix,
@@ -750,3 +751,86 @@ class TestFactorReuse:
         cold = io.load_state(tmp_path / "state.npz")
         for got, expected in zip(answers(cold), answers(warm)):
             np.testing.assert_array_equal(got, expected)
+
+
+class TestWeightChoices:
+    """Shapes and definiteness of the weight choices, checked once for
+    either event, and the segment variances the one rule gives."""
+
+    def _one_state(self, rng, p=2, q=1):
+        x = rng.standard_normal((40, p))
+        z = rng.standard_normal((40, q))
+        y = x @ np.ones(p) + z @ np.ones(q) + rng.normal(size=40)
+        state = hs.new_stream(hs.StreamSchema(p))
+        state.begin_update_phase(hs.compress_batch(x, y, hs.StreamSchema(p, q), z_rows=z))
+        return state
+
+    def test_nested_variances(self):
+        spec = hs.SecondWeightSpec(
+            sigma0_sq=1.0, gamma0=[2.0], theta0=[1.0, 1.0], e0_ww=[[0.5]], e0_zz=np.eye(2),
+        )
+        assert spec.variances == (5.0, 3.0, 1.0)
+        assert hs.WeightSpec(sigma0_sq=2.0, theta0=[3.0], e0_zz=[[1.0]]).variances == (11.0, 2.0)
+
+    def test_scalar_theta0_for_one_column(self):
+        spec = hs.WeightSpec(sigma0_sq=1.0, theta0=2.0, e0_zz=[[1.0]])
+        assert spec.theta0.shape == (1,)
+        assert spec.variances == (5.0, 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        lambda: hs.WeightSpec(sigma0_sq=1.0, theta0=[1.0, 2.0], e0_zz=[[1.0]]),
+        lambda: hs.SecondWeightSpec(
+            sigma0_sq=1.0, gamma0=np.ones(3), theta0=[1.0], e0_ww=np.eye(2), e0_zz=[[1.0]]),
+    ], ids=["theta0 of 2 with 1x1 e0_zz", "gamma0 of 3 with 2x2 e0_ww"])
+    def test_moment_must_match_its_coefficients(self, spec):
+        with pytest.raises(DimensionMismatch):
+            spec()
+
+    @pytest.mark.parametrize("choices", [
+        dict(sigma0_sq=np.nan, theta0=[0.0], e0_zz=[[1.0]]),
+        dict(sigma0_sq=1.0, theta0=[np.nan], e0_zz=[[1.0]]),
+    ], ids=["sigma0_sq", "theta0"])
+    def test_nan_choices_rejected(self, choices):
+        with pytest.raises(hs.InvalidConfig):
+            hs.WeightSpec(**choices)
+
+    def test_first_event_choices_must_fit_the_group(self):
+        rng = np.random.default_rng(140)
+        x = rng.standard_normal((40, 2))
+        z = rng.standard_normal((40, 1))
+        stats = hs.compress_batch(x, x[:, 0] + z[:, 0], hs.StreamSchema(2, 1), z_rows=z)
+        state = hs.new_stream(P2)
+        with pytest.raises(DimensionMismatch):
+            state.begin_update_phase(stats, sigma0_sq=1.0, theta0=np.ones(2), e0_zz=np.eye(2))
+        assert state.phase is hs.Phase.PRE and state.weights is None
+        state.begin_update_phase(stats, sigma0_sq=1.0, theta0=0.5, e0_zz=[[1.0]])
+        assert state.row_weights() == (1.0 / np.sqrt(1.25), 1.0)
+
+    def test_second_event_choices_must_fit_the_group(self):
+        rng = np.random.default_rng(141)
+        state = self._one_state(rng)
+        rows = rng.standard_normal((40, 5))
+        y = rows.sum(axis=1) + rng.normal(size=40)
+        stats = hs.compress_batch(rows[:, :2], y, hs.StreamSchema(2, 1, 2),
+                                  z_rows=rows[:, 2:3], w_rows=rows[:, 3:])
+        with pytest.raises(DimensionMismatch):
+            state.begin_second_update(stats, gamma0=np.ones(3), e0_ww=np.eye(3))
+        assert state.phase is hs.Phase.ONE and state.weights2 is None
+
+    def test_noiseless_warning_points_at_the_caller(self):
+        # both events warn from the line that called them
+        rng = np.random.default_rng(143)
+        x = rng.standard_normal((30, 2))
+        z = rng.standard_normal((30, 1))
+        w = rng.standard_normal((30, 1))
+        y = x @ np.array([1.0, -1.0]) + 2.0 * z[:, 0] + 0.5 * w[:, 0]
+        state = hs.new_stream(P2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state.begin_update_phase(
+                hs.compress_batch(x, x @ np.array([1.0, -1.0]) + 2.0 * z[:, 0],
+                                  hs.StreamSchema(2, 1), z_rows=z))
+            state.begin_second_update(
+                hs.compress_batch(x, y, hs.StreamSchema(2, 1, 1), z_rows=z, w_rows=w))
+        assert len(caught) == 2
+        assert [c.filename for c in caught] == [__file__, __file__]

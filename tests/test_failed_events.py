@@ -65,6 +65,9 @@ SECOND_CASES = {
         {"sigma0_sq": -1.0, "gamma0": np.zeros(R), "theta0": np.zeros(Q),
          "e0_ww": np.eye(R), "e0_zz": np.eye(Q)},
         InvalidConfig),
+    "e0_ww not nonnegative definite": (
+        lambda: event_batch(SECOND_EVENT),
+        {"sigma0_sq": 1.0, "gamma0": np.ones(R), "e0_ww": -10.0 * np.eye(R)}, InvalidConfig),
 }
 
 # the mismatch cases need a schema that declares the group the batch misses

@@ -543,3 +543,86 @@ def test_cli_session_prints_the_library_estimates(tmp_path):
             for i, v in enumerate([] if values is None else values, start=1):
                 assert printed[f"{name}_{i}"] == f"{float(v):.12g}", (j, name, i)
         assert printed["sse"] == f"{state.update_sse():.12g}"
+
+
+class TestWeightChoiceFlags:
+    """Override flags apply only at an event, with the group's widths."""
+
+    def _main(self, *argv):
+        err = io_text.StringIO()
+        with contextlib.redirect_stdout(io_text.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        return code, err.getvalue()
+
+    def _one_state(self, tmp_path, rng):
+        """A snapshot in phase ONE of a correlated design, and the path of
+        a correlated (x, z, w) batch."""
+        state_path = tmp_path / "s.npz"
+        chol = np.linalg.cholesky(ar1_cov(4, 0.7))
+        for name, groups in (("event", 2), ("second", 3)):
+            rows = rng.standard_normal((40, 4)) @ chol.T
+            y = rows @ np.array([1.0, -1.0, 0.5, 0.25]) + rng.normal(size=40)
+            hio.write_batch_csv(tmp_path / f"{name}.csv", rows[:, :2], y, z=rows[:, 2:3],
+                                w=rows[:, 3:] if groups == 3 else None)
+        code, err = self._main("ingest", "--state", str(state_path), "--batch",
+                               str(tmp_path / "event.csv"), "--event", "add-z")
+        assert code == 0, err
+        return state_path, tmp_path / "second.csv"
+
+    @pytest.mark.parametrize("flags", [
+        ["--sigma0-sq", "1"], ["--theta0", "0.5"], ["--e0-zz", "1"], ["--uncorrelated"],
+    ], ids=lambda flags: flags[0])
+    def test_override_flags_need_an_event(self, flags, tmp_path):
+        state_path, _ = self._one_state(tmp_path, np.random.default_rng(420))
+        before = state_path.read_bytes()
+        batch = tmp_path / "more.csv"
+        rng = np.random.default_rng(421)
+        rows = rng.standard_normal((20, 3))
+        hio.write_batch_csv(batch, rows[:, :2], rows.sum(axis=1), z=rows[:, 2:])
+        code, err = self._main("ingest", "--state", str(state_path), "--batch", str(batch), *flags)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error:") and "--event" in err
+        assert state_path.read_bytes() == before
+
+    @pytest.mark.parametrize("uncorrelated", [False, True])
+    def test_add_w_uncorrelated_forces_zero_maps(self, uncorrelated, tmp_path):
+        state_path, second = self._one_state(tmp_path, np.random.default_rng(422))
+        code, err = self._main("ingest", "--state", str(state_path), "--batch", str(second),
+                               "--event", "add-w", *["--uncorrelated"] * uncorrelated)
+        assert code == 0, err
+        maps = hio.load_state(state_path).homog
+        assert maps.c_hat.shape == (2, 1) and maps.d_hat.shape == (3, 1)
+        assert (not np.any(maps.c_hat) and not np.any(maps.d_hat)) == uncorrelated
+
+    @pytest.mark.parametrize("flags", [
+        ["--theta0", "1,2", "--e0-zz", "1"], ["--theta0", "1,2", "--e0-zz", "1,1"],
+    ], ids=["moment narrower than theta0", "both wider than z"])
+    def test_wrong_width_choices_exit_3(self, flags, tmp_path):
+        rng = np.random.default_rng(423)
+        state_path = tmp_path / "s.npz"
+        rows = rng.standard_normal((30, 3))
+        batch = tmp_path / "event.csv"
+        hio.write_batch_csv(batch, rows[:, :2], rows.sum(axis=1) + rng.normal(size=30), z=rows[:, 2:])
+        code, err = self._main("ingest", "--state", str(state_path), "--batch", str(batch),
+                               "--event", "add-z", "--sigma0-sq", "1", *flags)
+        assert code == cli.EXIT_RUNTIME
+        assert err.startswith("error:")
+        assert not state_path.exists()
+
+    SPEC_TAMPERS = {
+        "theta0 and e0_zz widened": lambda meta, arrays: arrays.update(
+            w_theta0=np.ones(2), w_e0_zz=np.eye(2)),
+        "e0_zz widened": lambda meta, arrays: arrays.update(w_e0_zz=np.eye(2)),
+        "gamma0 widened": lambda meta, arrays: arrays.update(
+            w2_gamma0=np.ones(3), w2_e0_ww=np.eye(3)),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(SPEC_TAMPERS))
+    def test_weight_spec_shapes_checked_on_load(self, tamper, tmp_path):
+        path = tmp_path / "state.npz"
+        hio.save_state(_state_in_phase(np.random.default_rng(424), "TWO"), path)
+        _tamper(path, self.SPEC_TAMPERS[tamper])
+        with pytest.raises(hs.DimensionMismatch):
+            hio.load_state(path)
+        code, err = self._main("estimate", "--state", str(path))
+        assert code == cli.EXIT_RUNTIME and err.startswith("error:")
