@@ -67,6 +67,7 @@ from .batchstats import (
     PHASE_XZW,
     BatchStats,
     StreamSchema,
+    _ValueEquality,
     merge,
 )
 from .errors import (
@@ -122,8 +123,8 @@ def _nested_variances(sigma0_sq: float, groups) -> tuple[float, ...]:
     return tuple(variances)
 
 
-@dataclass(frozen=True)
-class _NestedWeights:
+@dataclass(frozen=True, eq=False)
+class _NestedWeights(_ValueEquality):
     """An event's weight spec: initial choices of the newest segment's error
     variance (sigma0_sq) and of each added group's coefficients (1-D; a
     scalar for one column) and k x k second moment. ``variances`` holds each
@@ -155,7 +156,7 @@ class _NestedWeights:
             raise DimensionMismatch(f"weight choices have widths {got}, the groups {tuple(widths)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec(_NestedWeights):
     """Initial choices taken at the first event (first batch exposing z).
 
@@ -176,7 +177,7 @@ class WeightSpec(_NestedWeights):
         return 1.0 / np.sqrt(self.sigma0_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondWeightSpec(_NestedWeights):
     """Initial choices taken at the second event (first batch exposing w).
 
@@ -195,8 +196,8 @@ class SecondWeightSpec(_NestedWeights):
     _GROUPS = (("theta0", "e0_zz"), ("gamma0", "e0_ww"))
 
 
-@dataclass(frozen=True)
-class HomogenizationMap:
+@dataclass(frozen=True, eq=False)
+class HomogenizationMap(_ValueEquality):
     """Estimated projections of missing covariate groups onto observed ones.
 
     b_hat maps z onto x, c_hat maps w onto x, d_hat maps w onto (x, z).

@@ -18,8 +18,11 @@ from itertools import chain
 
 import numpy as np
 
-from .batchstats import PHASE_TAGS, BatchStats, StreamSchema
+from .batchstats import _BLOCKS, PHASE_TAGS, BatchStats, StreamSchema, _block_shapes
 from .engine import (
+    CASE_CORRELATED,
+    CASE_UNCORRELATED,
+    CONVENTIONS,
     AccumulatorState,
     Phase,
     SecondWeightSpec,
@@ -28,8 +31,6 @@ from .engine import (
 from .errors import HetstreamError, InvalidConfig, NonFiniteData, SchemaMismatch
 
 SNAPSHOT_VERSION = 1
-
-_SEG_FIELDS = ("xtx", "xty", "xtz", "ztz", "zty", "xtw", "ztw", "wtw", "wty")
 
 # per event: the metadata key, array prefix and type of its weight spec,
 # and the array names of its maps fits[g - 1][s]
@@ -77,7 +78,7 @@ def save_state(state: AccumulatorState, path) -> None:
         "seg_yty": np.array([seg.yty for seg in state._segments], dtype=np.float64),
     }
     for i, seg in enumerate(state._segments):
-        for name in _SEG_FIELDS:
+        for name in _BLOCKS:
             block = getattr(seg, name)
             if block is not None:
                 arrays[f"seg{i}_{name}"] = np.asarray(block, dtype=np.float64)
@@ -103,9 +104,11 @@ def load_state(path) -> AccumulatorState:
     """Rebuild an accumulator from a snapshot written by save_state.
 
     A file that is not a readable snapshot (truncated or not an archive, a
-    missing entry, malformed metadata, a segment count or event batch index
-    that is not a non-negative integer, a weight record, map or array whose
-    shape or presence the schema and phase do not give) raises
+    missing entry, malformed metadata, a segment count, batch count or event
+    batch index that is not a non-negative integer, a map or refinement flag
+    that is not a bool, an unknown case label or weight convention, a weight
+    record, map or array whose shape or presence the schema and phase do not
+    give) raises
     HetstreamError; a weight spec whose widths do not fit the schema raises
     DimensionMismatch. Older v1 snapshots also carry a ``scalars`` entry, a
     running residual sum that the state computes on read instead; it is
@@ -122,6 +125,13 @@ def _state_from_snapshot(data) -> AccumulatorState:
     meta = json.loads(bytes(data["meta"]))
     if meta["version"] != SNAPSHOT_VERSION:
         raise InvalidConfig(f"unsupported snapshot version {meta['version']}")
+    for name in ("refine_maps", "b_forced", "cd_forced"):
+        if type(meta[name]) is not bool:
+            raise ValueError(f"{name} = {meta[name]!r}, expected true or false")
+    if meta["case_label"] not in (None, CASE_CORRELATED, CASE_UNCORRELATED):
+        raise ValueError(f"case_label = {meta['case_label']!r}, expected null or a case label")
+    if meta["convention"] not in CONVENTIONS:
+        raise ValueError(f"convention = {meta['convention']!r}, expected one of {CONVENTIONS}")
     sch = meta["schema"]
     schema = StreamSchema(sch["p"], sch["q"], sch["r"], tuple(sch["names"]))
     state = AccumulatorState(
@@ -148,7 +158,8 @@ def _state_from_snapshot(data) -> AccumulatorState:
                 f"{key} is {'missing' if wanted else 'present'} in phase {phase.name}"
             )
     event_batches = (meta["k_index"], meta["m_index"])[:events]
-    for name, index in zip(("k_index", "m_index"), event_batches):
+    counts = (meta["batch_count"], *event_batches)
+    for name, index in zip(("batch_count", "k_index", "m_index"), counts):
         if type(index) is not int or index < 0:
             raise ValueError(f"{name} = {index!r}, expected a non-negative integer")
     state.case_label = meta["case_label"]
@@ -157,24 +168,13 @@ def _state_from_snapshot(data) -> AccumulatorState:
     for i, seg_meta in enumerate(meta["segments"]):
         blocks = {
             name: data[f"seg{i}_{name}"]
-            for name in _SEG_FIELDS
+            for name in _BLOCKS
             if f"seg{i}_{name}" in data
         }
         # segment i observes the first i + 1 covariate groups of the schema
-        empty = BatchStats.zeros(schema.p, schema.q * (i >= 1), schema.r * (i >= 2))
-        _check_shapes(f"segment {i}", blocks, {
-            name: getattr(empty, name).shape
-            for name in _SEG_FIELDS
-            if getattr(empty, name) is not None
-        })
-        segments.append(
-            BatchStats(
-                n=seg_meta["n"],
-                phase_tag=seg_meta["phase_tag"],
-                yty=float(data["seg_yty"][i]),
-                **blocks,
-            )
-        )
+        widths = (schema.p, schema.q * (i >= 1), schema.r * (i >= 2))
+        _check_shapes(f"segment {i}", blocks, _block_shapes(widths))
+        segments.append(BatchStats._from_blocks(seg_meta["n"], widths, blocks, data["seg_yty"][i]))
     state._segments = segments
     # group g spans columns bounds[g]:bounds[g + 1]; added[g - 1] is its width
     bounds = state._bounds()

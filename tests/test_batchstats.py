@@ -216,3 +216,63 @@ def test_statistics_depend_only_on_values(groups, tmp_path):
         for name in ("csv", "c", "f"):
             _assert_bit_identical(stats["slices"], stats[name])
         np.testing.assert_array_equal(stats["c"].xtx, stats["c"].xtx.T)
+
+
+ACCESSORS = ("xtx", "xty", "xtz", "ztz", "zty", "xtw", "ztw", "wtw", "wty", "full_gram", "full_moment")
+
+
+@pytest.mark.parametrize("source", ["compressed", "merged", "zeros"])
+def test_accessors_return_contiguous_copies(source):
+    # the statistics hold one cross-product matrix; a view into it would be
+    # strided and send products to BLAS kernels that sum in another order,
+    # so every accessor returns a new C-contiguous array, and writing into
+    # it leaves the statistics unchanged
+    rng = np.random.default_rng(23)
+    schema = hs.StreamSchema(3, 2, 2)
+
+    def batch():
+        x, z, w = (rng.standard_normal((20, d)) for d in (3, 2, 2))
+        return hs.compress_batch(x, rng.standard_normal(20), schema, z_rows=z, w_rows=w)
+
+    stats = {
+        "compressed": batch,
+        "merged": lambda: hs.merge(batch(), batch()),
+        "zeros": lambda: BatchStats.zeros(3, 2, 2),
+    }[source]()
+    before = stats.cross.copy()
+    for name in ACCESSORS:
+        value = getattr(stats, name)
+        value = value() if callable(value) else value
+        assert value.flags.c_contiguous, name
+        assert not np.shares_memory(value, stats.cross), name
+        value[...] = np.nan
+        assert stats.cross.tobytes() == before.tobytes(), name
+
+
+def test_named_blocks_are_slices_of_the_one_matrix():
+    rng = np.random.default_rng(24)
+    x, z, w = (rng.standard_normal((15, d)) for d in (2, 2, 1))
+    y = rng.standard_normal(15)
+    stats = hs.compress_batch(x, y, hs.StreamSchema(2, 2, 1), z_rows=z, w_rows=w)
+    rows = np.hstack([x, z, w, y[:, None]])
+    assert (stats.n, stats.widths, stats.phase_tag) == (15, (2, 2, 1), "xzw")
+    np.testing.assert_allclose(stats.cross, rows.T @ rows, rtol=1e-12)
+    np.testing.assert_array_equal(stats.cross, stats.cross.T)
+    np.testing.assert_array_equal(stats.ztw, stats.cross[2:4, 4:5])
+    np.testing.assert_array_equal(stats.wty, stats.cross[4:5, 5])
+    np.testing.assert_array_equal(stats.full_gram(), stats.cross[:5, :5])
+    assert stats.yty == stats.cross[5, 5]
+    plain = hs.compress_batch(x, y, hs.StreamSchema(2))
+    assert plain.widths == (2, 0, 0) and plain.phase_tag == "x"
+    assert all(getattr(plain, name) is None for name in ("xtz", "ztz", "zty", "xtw", "ztw", "wtw", "wty"))
+
+
+def test_non_finite_rows_name_their_group():
+    schema = hs.StreamSchema(1, 1, 1)
+    ones = np.ones((2, 1))
+    bad = np.array([[1.0], [np.nan]])
+    for label, (x, z, w) in {"x": (bad, ones, ones), "z": (ones, bad, ones), "w": (ones, ones, bad)}.items():
+        with pytest.raises(NonFiniteData, match=f"^{label} rows"):
+            hs.compress_batch(x, [1.0, 2.0], schema, z_rows=z, w_rows=w)
+    with pytest.raises(NonFiniteData, match="response"):
+        hs.compress_batch(bad, [1.0, np.inf], schema, z_rows=ones, w_rows=ones)

@@ -7,7 +7,15 @@ import pytest
 
 import hetstream as hs
 from hetstream import io
-from hetstream.engine import GRAM_SQUARED, PAPER_LINEAR
+from hetstream.batchstats import BatchStats
+from hetstream.engine import (
+    GRAM_SQUARED,
+    NON_RANDOM,
+    PAPER_LINEAR,
+    HomogenizationMap,
+    SecondWeightSpec,
+    WeightSpec,
+)
 from hetstream.errors import (
     DimensionMismatch,
     InsufficientData,
@@ -834,3 +842,52 @@ class TestWeightChoices:
                 hs.compress_batch(x, y, hs.StreamSchema(2, 1, 1), z_rows=z, w_rows=w))
         assert len(caught) == 2
         assert [c.filename for c in caught] == [__file__, __file__]
+
+
+def _stats(scale):
+    rows = np.arange(12.0).reshape(4, 3) + np.eye(4, 3)
+    return hs.compress_batch(scale * rows[:, :2], rows[:, 2], hs.StreamSchema(2, 1), z_rows=rows[:, 2:])
+
+
+# record type -> (a function giving a new record, records that differ from it
+# in one field each)
+EQUALITY_CASES = {
+    "WeightSpec": (
+        lambda: WeightSpec(1.0, np.ones(2), np.eye(2)),
+        [
+            WeightSpec(2.0, np.ones(2), np.eye(2)),
+            WeightSpec(1.0, np.ones(2), 2 * np.eye(2)),
+            WeightSpec(1.0, np.ones(2), np.eye(2), provenance=NON_RANDOM),
+        ],
+    ),
+    "SecondWeightSpec": (
+        lambda: SecondWeightSpec(1.0, np.ones(1), np.ones(2), np.eye(1), np.eye(2)),
+        [
+            SecondWeightSpec(1.0, np.full(1, 0.5), np.ones(2), np.eye(1), np.eye(2)),
+            SecondWeightSpec(1.0, np.ones(1), np.ones(2), np.eye(1), 3 * np.eye(2)),
+        ],
+    ),
+    "HomogenizationMap": (
+        lambda: HomogenizationMap(np.ones((2, 2)), np.ones((2, 1)), np.ones((4, 1)), 3),
+        [
+            HomogenizationMap(np.ones((2, 2))),
+            HomogenizationMap(np.ones((2, 2)), np.ones((2, 1)), np.zeros((4, 1)), 3),
+            HomogenizationMap(np.ones((2, 2)), np.ones((2, 1)), np.ones((4, 1)), 4),
+        ],
+    ),
+    "BatchStats": (
+        lambda: _stats(1.0),
+        [_stats(2.0), BatchStats(5, (2, 1, 0), _stats(1.0).cross), BatchStats.zeros(2, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUALITY_CASES))
+def test_records_with_arrays_compare_by_value(kind):
+    make, others = EQUALITY_CASES[kind]
+    assert make() == make()
+    assert not make() != make()
+    for other in others:
+        assert make() != other
+        assert not make() == other
+    assert make() != "a record"

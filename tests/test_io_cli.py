@@ -150,6 +150,26 @@ class TestSnapshot:
         with pytest.raises(hs.HetstreamError, match="segment 0 has n"):
             hio.load_state(path)
 
+    # scalar metadata -> values of the wrong kind
+    SCALAR_TAMPERS = {
+        "batch_count": ["7", -1, 2.5, None, True],
+        "case_label": ["maybe", 1, ["correlated"]],
+        "refine_maps": ["no", 1, None],
+        "b_forced": ["no", 0, None],
+        "cd_forced": ["yes", 1.0, None],
+        "convention": ["bogus", None],
+    }
+
+    @pytest.mark.parametrize("key", sorted(SCALAR_TAMPERS))
+    def test_scalar_metadata_checked_on_load(self, key, tmp_path):
+        path = tmp_path / "state.npz"
+        for phase in ("PRE", "ONE"):
+            for value in self.SCALAR_TAMPERS[key]:
+                hio.save_state(_state_in_phase(np.random.default_rng(418), phase), path)
+                _tamper(path, lambda meta, arrays: meta.update({key: value}))
+                with pytest.raises(hs.HetstreamError, match=f"{key} = "):
+                    hio.load_state(path)
+
 
 def _state_in_phase(rng, phase: str) -> hs.AccumulatorState:
     if phase == "PRE":
@@ -466,6 +486,17 @@ class TestCliStreamSession:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert "seg" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_string_batch_count_exit_3(self, tmp_path):
+        rng = np.random.default_rng(420)
+        state_path, batch = tmp_path / "s.npz", tmp_path / "b.csv"
+        self._write_batch(rng, batch, n=30)
+        assert run_cli("ingest", "--state", str(state_path), "--batch", str(batch)).returncode == 0
+        _tamper(state_path, lambda meta, arrays: meta.update(batch_count="7"))
+        proc = run_cli("ingest", "--state", str(state_path), "--batch", str(batch))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "batch_count" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_add_w_applies_overrides(self, tmp_path):
         rng = np.random.default_rng(413)

@@ -1,5 +1,6 @@
-"""Property tests over random streams (Hypothesis)."""
+"""Property tests over random streams, merges and snapshots (Hypothesis)."""
 
+import json
 import os
 import tempfile
 import warnings
@@ -9,7 +10,9 @@ import pytest
 
 import hetstream as hs
 from hetstream import io as hio
+from hetstream.batchstats import BatchStats
 from hetstream.engine import CONVENTIONS
+from hetstream.errors import SchemaMismatch
 
 from helpers import ar1_cov
 
@@ -113,3 +116,174 @@ def test_snapshot_after_every_batch_answers_like_the_uninterrupted_stream(case):
             states[1] = hio.load_state(path)
             assert states[1].phase is states[0].phase
             assert _answers(states[1]) == _answers(states[0]), (j, states[0].phase)
+
+
+# ----------------------------------------------------------------------
+# merge: the monoid of batch statistics
+# ----------------------------------------------------------------------
+
+widths = st.integers(1, 3).flatmap(
+    lambda p: st.integers(0, 2).flatmap(
+        lambda q: st.tuples(st.just(p), st.just(q), st.integers(0, 2 if q else 0))
+    )
+)
+
+
+@st.composite
+def batches(draw, count: int = 3):
+    """``count`` compressed batches of one drawn width, each of 1-8 rows
+    drawn at one of three scales."""
+    p, q, r = draw(widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = hs.StreamSchema(p, q, r)
+    out = []
+    for _ in range(count):
+        rows = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((draw(st.integers(1, 8)), p + q + r + 1))
+        out.append(hs.compress_batch(
+            rows[:, :p], rows[:, -1], schema,
+            z_rows=rows[:, p:p + q] if q else None,
+            w_rows=rows[:, p + q:-1] if r else None,
+        ))
+    return out
+
+
+def _bits(stats):
+    return stats.n, stats.widths, stats.cross.tobytes()
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+@hypothesis.given(batches(count=2))
+def test_merge_is_commutative_bit_for_bit(pair):
+    a, b = pair
+    assert _bits(hs.merge(a, b)) == _bits(hs.merge(b, a))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+@hypothesis.given(batches(count=1))
+def test_zeros_is_the_identity_of_merge_bit_for_bit(single):
+    (a,) = single
+    zero = BatchStats.zeros(*a.widths)
+    assert _bits(hs.merge(a, zero)) == _bits(a) == _bits(hs.merge(zero, a))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+@hypothesis.given(batches(count=3))
+def test_merge_is_associative(triple):
+    a, b, c = triple
+    lhs, rhs = hs.merge(hs.merge(a, b), c), hs.merge(a, hs.merge(b, c))
+    assert (lhs.n, lhs.widths) == (rhs.n, rhs.widths)
+    # rtol 1e-12 of the summands' magnitude: a sum that cancels to near zero
+    # keeps the rounding error of its parts
+    scale = np.abs(a.cross) + np.abs(b.cross) + np.abs(c.cross)
+    assert np.all(np.abs(lhs.cross - rhs.cross) <= 1e-12 * scale)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@hypothesis.given(widths, widths)
+def test_merge_of_different_widths_raises_schema_mismatch(left, right):
+    hypothesis.assume(left != right)
+    with pytest.raises(SchemaMismatch):
+        hs.merge(BatchStats.zeros(*left), BatchStats.zeros(*right))
+
+
+# ----------------------------------------------------------------------
+# snapshots: damaged files raise HetstreamError and nothing else
+# ----------------------------------------------------------------------
+
+_SNAPSHOTS: dict = {}
+_ADDED = {"PRE": 0, "ONE": 1, "TWO": 2}   # covariate groups added by each phase
+
+
+def _batch(rng, added: int):
+    """A batch of 20 rows with x (2 columns) and ``added`` one-column groups."""
+    rows = rng.standard_normal((20, 3 + added))
+    return hs.compress_batch(
+        rows[:, :2], rows[:, -1], hs.StreamSchema(2, int(added >= 1), int(added >= 2)),
+        z_rows=rows[:, 2:3] if added >= 1 else None,
+        w_rows=rows[:, 3:4] if added >= 2 else None,
+    )
+
+
+def _snapshot(phase: str) -> bytes:
+    """Bytes of a snapshot of one small stream in ``phase``: two batches in
+    each phase up to it, the first of each later phase its event."""
+    if phase not in _SNAPSHOTS:
+        rng = np.random.default_rng(7)
+        state = hs.new_stream(hs.StreamSchema(2))
+        events = (state.ingest_pre_change, state.begin_update_phase, state.begin_second_update)
+        for added in range(_ADDED[phase] + 1):
+            events[added](_batch(rng, added))
+            (state.ingest_post_change if added else state.ingest_pre_change)(_batch(rng, added))
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "state.npz")
+            hio.save_state(state, path)
+            with open(path, "rb") as fh:
+                _SNAPSHOTS[phase] = fh.read()
+    return _SNAPSHOTS[phase]
+
+
+def _load_and_use(path, phase: str):
+    """Load a snapshot of a stream in ``phase``, query it and ingest one more
+    batch; only HetstreamError may come out."""
+    stats = _batch(np.random.default_rng(8), _ADDED[phase])
+    try:
+        state = hio.load_state(path)
+        state.estimate()
+        state.update_sse()
+        (state.ingest_post_change if _ADDED[phase] else state.ingest_pre_change)(stats)
+        state.estimate()
+    except hs.HetstreamError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats(-1e6, 1e6) | st.text(max_size=4)
+    | st.sampled_from(["x", "xz", "xzw", "PRE", "ONE", "TWO", "correlated", "uncorrelated",
+                       "gram-squared", "paper-linear", "non-random"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _meta_paths(meta) -> list[tuple]:
+    """Every metadata key, and every key of its nested records."""
+    paths = []
+    for key, value in meta.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, inner) for inner in value]
+        elif key == "segments":
+            paths += [(key, i, inner) for i, seg in enumerate(value) for inner in seg]
+    return paths
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+@hypothesis.given(st.data())
+def test_fuzzed_snapshot_metadata_raises_only_hetstream_errors(data):
+    phase = data.draw(st.sampled_from(["PRE", "ONE", "TWO"]))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "state.npz")
+        with open(path, "wb") as fh:
+            fh.write(_snapshot(phase))
+        with np.load(path) as entries:
+            meta = json.loads(bytes(entries["meta"]))
+            arrays = {k: entries[k] for k in entries.files if k != "meta"}
+        *parents, last = data.draw(st.sampled_from(_meta_paths(meta)))
+        target = meta
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(json_values)
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        _load_and_use(path, phase)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+@hypothesis.given(st.sampled_from(["PRE", "ONE", "TWO"]), st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_snapshot_raises_hetstream_error(phase, fraction):
+    snapshot = _snapshot(phase)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "state.npz")
+        with open(path, "wb") as fh:
+            fh.write(snapshot[: int(fraction * len(snapshot))])
+        with pytest.raises(hs.HetstreamError):
+            hio.load_state(path)
